@@ -12,6 +12,11 @@
 // collector idempotent: a lost or reordered message can only delay
 // freshness, never corrupt the average.
 //
+// Named parts, each written once: loadBase (the eq. 5 base),
+// runRealizations (the loop every worker runs), PartialTable (latest
+// partial per source — ranks at the collector, threads inside a rank),
+// Collector (rank 0) and RankRunner (one rank, gluing them together).
+//
 //===----------------------------------------------------------------------===//
 
 #include "parmonc/core/Runner.h"
@@ -22,7 +27,6 @@
 #include "parmonc/mpsim/Communicator.h"
 #include "parmonc/mpsim/Engine.h"
 #include "parmonc/mpsim/Serialize.h"
-#include "parmonc/obs/Stopwatch.h"
 #include "parmonc/rng/Philox.h"
 #include "parmonc/rng/StreamHierarchy.h"
 #include "parmonc/support/Contract.h"
@@ -41,8 +45,7 @@ namespace parmonc {
 
 namespace {
 
-/// Everything the worker/collector closures share. Plain atomics; the
-/// snapshot vectors are touched only by rank 0.
+/// Everything the worker/collector closures share. Plain atomics.
 struct SharedRunState {
   std::atomic<int64_t> ClaimedVolume{0};
   std::atomic<bool> StopRequested{false};
@@ -54,43 +57,871 @@ struct SharedRunState {
   std::atomic<int64_t> FailedSends{0};
 };
 
-/// Merges \p From into \p Into: moment sums, compute seconds, histograms.
-/// Shape mismatches here mean a snapshot was deserialized from a different
-/// run configuration — merging it would corrupt the eq. (5) average, so
-/// these contracts stay on in release builds. Shared by the rank-0
-/// collector and the intra-rank thread merge, so both levels of the
-/// hierarchy combine partials with the exact same arithmetic.
-void mergeSnapshotInto(MomentSnapshot &Into, const MomentSnapshot &From) {
-  Status MergedOk = Into.mergeFrom(From);
-  PARMONC_ASSERT(MergedOk.isOk(), "snapshot shape/geometry mismatch");
+/// An empty partial of the configured shape: zero moment sums and fresh
+/// histograms, stamped with this run's experiment number.
+MomentSnapshot emptyPartial(const RunConfig &Config) {
+  MomentSnapshot Partial;
+  Partial.SequenceNumber = Config.SequenceNumber;
+  Partial.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
+  Partial.Histograms.reserve(Config.Histograms.size());
+  for (const HistogramSpec &Spec : Config.Histograms)
+    Partial.Histograms.emplace_back(Spec.Low, Spec.High, Spec.BinCount);
+  return Partial;
 }
 
-/// Collector-side bookkeeping (rank 0 only).
-struct CollectorState {
-  std::vector<MomentSnapshot> LatestFromRank;
-  std::vector<bool> HaveSnapshot;
-  std::vector<bool> FinalReceived;
-  std::vector<int> DeadWorkers;
-  int FinalsOutstanding = 0;
-  int SavePointCount = 0;
-  int64_t LastSaveNanos = 0;
+/// True when a subtotal pass is due at \p Now after one at \p LastNanos.
+bool passDue(const RunConfig &Config, int64_t Now, int64_t LastNanos) {
+  return Config.PassPeriodNanos == 0 ||
+         Now - LastNanos >= Config.PassPeriodNanos;
+}
 
-  // Sharded checkpointing: the latest shard file each rank reported, keyed
-  // by the rank's own monotone write index so duplicated or reordered
-  // reports (injected faults) can never roll a reference backwards.
-  std::vector<ckpt::ShardEntry> ShardRef;
-  std::vector<bool> HaveShardRef;
-  std::vector<int64_t> ShardIndexSeen;
+/// Part \p Index of \p Total split round-robin over \p Parts: the fixed
+/// DeterministicSchedule quotas of maxsv per rank and of a rank's quota
+/// per worker thread.
+int64_t roundRobinShare(int64_t Total, int64_t Parts, int64_t Index) {
+  return Total / Parts + (Index < Total % Parts ? 1 : 0);
+}
 
-  /// Merges base + every received rank snapshot (eq. 5).
-  MomentSnapshot mergeAll(const MomentSnapshot &Base) const {
-    MomentSnapshot Merged = Base;
-    for (size_t Rank = 0; Rank < LatestFromRank.size(); ++Rank)
-      if (HaveSnapshot[Rank])
-        mergeSnapshotInto(Merged, LatestFromRank[Rank]);
-    return Merged;
+/// The latest cumulative partial from each source — ranks at the
+/// collector, worker threads inside a rank — and their eq. (5) merge.
+/// Partials are cumulative, so keeping only the latest makes the table
+/// idempotent under duplicated or reordered deliveries, and merging in
+/// source order makes the result independent of arrival interleaving.
+class PartialTable {
+public:
+  explicit PartialTable(size_t Sources)
+      : Latest(Sources), Finished(Sources, false), Outstanding(Sources) {}
+
+  /// Keeps \p Partial as \p Source's latest; a final one also retires it.
+  void store(size_t Source, MomentSnapshot Partial, bool IsFinal) {
+    Latest[Source] = std::move(Partial);
+    if (IsFinal)
+      (void)retire(Source);
   }
+
+  /// Marks \p Source finished; false if it already was.
+  bool retire(size_t Source) {
+    if (Finished[Source])
+      return false;
+    Finished[Source] = true;
+    --Outstanding;
+    return true;
+  }
+
+  /// Sources that have not finished yet.
+  size_t outstanding() const { return Outstanding; }
+
+  /// Sample volume of \p Source's latest partial (0 before the first).
+  int64_t volume(size_t Source) const {
+    return Latest[Source] ? Latest[Source]->Moments.sampleVolume() : 0;
+  }
+
+  /// \p Start plus every source's latest partial, in source order. Shape
+  /// mismatches mean a partial was decoded from a different run
+  /// configuration — merging it would corrupt the eq. (5) average, so
+  /// this contract stays on in release builds.
+  MomentSnapshot mergedOnto(MomentSnapshot Start) const {
+    for (size_t Source = 0; Source < Latest.size(); ++Source)
+      if (Latest[Source]) {
+        Status MergedOk = Start.mergeFrom(*Latest[Source]);
+        PARMONC_ASSERT(MergedOk.isOk(), "snapshot shape/geometry mismatch");
+      }
+    return Start;
+  }
+
+private:
+  std::vector<std::optional<MomentSnapshot>> Latest;
+  std::vector<bool> Finished;
+  size_t Outstanding;
 };
+
+/// The eq. (5) base of a run and where it came from.
+struct RunBase {
+  MomentSnapshot Snapshot;
+  bool ResumedFromBackup = false;
+  bool RestoredFromShards = false;
+};
+
+/// Resume-base loading (§3.2): res=1 loads the previous checkpoint as the
+/// base; res=0 clears the previous run's files and starts from empty.
+Result<RunBase> loadBase(const RunConfig &Config, const ResultsStore &Store,
+                         const ckpt::CheckpointStore &Ckpt) {
+  RunBase Loaded;
+  Loaded.Snapshot = emptyPartial(Config);
+  if (!Config.Resume) {
+    if (Status Cleared = Store.clearPreviousRun(); !Cleared)
+      return Cleared;
+    return Loaded;
+  }
+  // The full recovery ladder. A sharded manifest and a legacy
+  // checkpoint.dat can coexist — manaver rebuilds checkpoint.dat from the
+  // subtotal files after a crash that left mid-run manifests behind — and
+  // snapshots are cumulative, so whichever loadable state carries the
+  // larger sample volume is the fresher one and wins. Each side falls
+  // back to its own .prev generation before the comparison.
+  const bool HaveManifest = Ckpt.hasAnyManifest();
+  const bool HaveLegacy =
+      fileExists(Store.checkpointPath()) ||
+      fileExists(ResultsStore::backupPath(Store.checkpointPath()));
+  if (!HaveManifest && !HaveLegacy)
+    return failedPrecondition("resume requested but no checkpoint exists at " +
+                              Store.checkpointPath());
+  std::optional<MomentSnapshot> Sharded;
+  std::optional<MomentSnapshot> Single;
+  bool ShardedBackup = false;
+  bool SingleBackup = false;
+  Status FirstError;
+  if (HaveManifest) {
+    // Rebuild the merged state from base + rank shards (bit-identical to
+    // the single-file path), falling back to the previous manifest
+    // generation on any CRC, short-read, missing-shard or payload failure.
+    Result<RecoveredCheckpoint> Recovered = restoreShardedCheckpoint(Ckpt);
+    if (Recovered) {
+      ShardedBackup = Recovered.value().FromBackupManifest;
+      Sharded = std::move(Recovered).value().Merged;
+    } else {
+      FirstError = Recovered.status();
+    }
+  }
+  if (HaveLegacy) {
+    // A checkpoint that fails its CRC is never loaded; the previous
+    // generation (checkpoint.dat.prev) covers the torn-write case.
+    Result<ResultsStore::RecoveredSnapshot> Recovered =
+        Store.readSnapshotWithFallback(Store.checkpointPath());
+    if (Recovered) {
+      SingleBackup = Recovered.value().FromBackup;
+      Single = std::move(Recovered).value().Snapshot;
+    } else if (FirstError.isOk()) {
+      FirstError = Recovered.status();
+    }
+  }
+  if (!Sharded && !Single)
+    return FirstError;
+  Loaded.RestoredFromShards =
+      Sharded && (!Single || Sharded->Moments.sampleVolume() >=
+                                 Single->Moments.sampleVolume());
+  // Otherwise either a legacy-only tree, every manifest generation was
+  // rejected (one more rung down the ladder — flagged as a backup
+  // resume), or checkpoint.dat is strictly fresher than the best manifest.
+  Loaded.ResumedFromBackup = Loaded.RestoredFromShards
+                                 ? ShardedBackup
+                                 : SingleBackup || (HaveManifest && !Sharded);
+  MomentSnapshot Previous =
+      std::move(Loaded.RestoredFromShards ? *Sharded : *Single);
+  if (Previous.Moments.rows() != Config.Rows ||
+      Previous.Moments.columns() != Config.Columns)
+    return failedPrecondition(
+        "checkpoint shape does not match the configured matrix shape");
+  if (Previous.SequenceNumber == Config.SequenceNumber)
+    return failedPrecondition(
+        "resumed run must use a different experiment subsequence number "
+        "than the previous run (paper §3.2); previous used " +
+        std::to_string(Previous.SequenceNumber));
+  if (Previous.Histograms.size() != Config.Histograms.size())
+    return failedPrecondition(
+        "checkpoint histogram count does not match the configuration");
+  for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
+    const HistogramEstimator &Saved = Previous.Histograms[Index];
+    const HistogramSpec &Spec = Config.Histograms[Index];
+    if (Saved.low() != Spec.Low || Saved.high() != Spec.High ||
+        Saved.binCount() != Spec.BinCount)
+      return failedPrecondition(
+          "checkpoint histogram geometry does not match the configuration");
+  }
+  Loaded.Snapshot = std::move(Previous);
+  // The merged results of this run belong to the *new* experiment.
+  Loaded.Snapshot.SequenceNumber = Config.SequenceNumber;
+  return Loaded;
+}
+
+/// The leap table: an explicit parmonc_genparam.dat in the working
+/// directory overrides the configured exponents (§3.5).
+Result<LeapTable> loadLeapTable(const RunConfig &Config,
+                                const ResultsStore &Store) {
+  if (!fileExists(Store.genparamPath()))
+    return LeapTable(Lcg128::defaultMultiplier(), Config.Leaps);
+  Result<LeapTable> Loaded = LeapTable::loadOrDefault(Store.genparamPath());
+  // Backend dispatch: Philox partitions the same (e, p, k) coordinates by
+  // counter intervals, using the table's (possibly genparam-overridden)
+  // exponents. A genparam *multiplier* override is LCG arithmetic with no
+  // counter-based equivalent — silently ignoring it would ship different
+  // numbers than the operator asked for, so it is rejected instead.
+  if (Loaded && Config.RngBackend == RngBackendKind::Philox &&
+      Loaded.value().baseMultiplier() != Lcg128::defaultMultiplier())
+    return failedPrecondition(
+        "parmonc_genparam.dat overrides the LCG multiplier, which has no "
+        "counter-based equivalent; remove the override or run the lcg128 "
+        "backend");
+  return Loaded;
+}
+
+/// What every part of one run shares; built once by runSimulation.
+struct RunContext {
+  const RealizationFn &Realization;
+  const RunConfig &Config;
+  Clock &Time;
+  obs::MetricsRegistry &Registry;
+  obs::TraceWriter *Trace;
+  const ResultsStore &Store;
+  ckpt::CheckpointStore &Ckpt;
+  fault::FaultInjector *Injector;
+  const StreamHierarchy &Hierarchy;
+  int64_t StartNanos;
+  // Registered on the cold path: workers then only touch relaxed atomics
+  // through stable references.
+  obs::Counter &RealizationsTotal;
+  obs::Counter &SubtotalsSent;
+  obs::LatencyHistogram &RealizationLatency;
+  std::vector<obs::Counter *> RankRealizations;
+  SharedRunState Shared{};
+};
+
+/// The realization loop, run by the rank thread when WorkerThreadsPerRank
+/// == 1 and by each worker thread otherwise: claim a realization (from
+/// \p Quota, or the shared counter when it is -1), issue its stream from
+/// \p Cursor, run the routine, accumulate into \p Mine, then call \p Tail
+/// with whether a subtotal pass is due. \p Comm is null on worker threads,
+/// whose rank thread relays stops. False when an injected crash hit.
+template <typename TailFn>
+bool runRealizations(RunContext &Run, int Rank, Communicator *Comm,
+                     RealizationCursor &Cursor, int64_t Quota,
+                     MomentSnapshot &Mine, TailFn &&Tail) {
+  const RunConfig &Config = Run.Config;
+  SharedRunState &Shared = Run.Shared;
+  const fault::WorkerCrashSpec *Crash =
+      Comm && Run.Injector ? Run.Injector->workerCrash(Rank) : nullptr;
+  std::vector<double> Out(Config.Rows * Config.Columns);
+  int64_t ComputeStart = 0;
+  int64_t ComputeEnd = 0;
+  auto compute = [&](RandomSource &Stream) {
+    ComputeStart = Run.Time.nowNanos();
+    Run.Realization(Stream, Out.data());
+    ComputeEnd = Run.Time.nowNanos();
+  };
+  const int64_t Limit = Quota >= 0 ? Quota : Config.MaxSampleVolume;
+  int64_t Done = 0;
+  int64_t LastPassNanos = Run.Time.nowNanos();
+  // Shared covers threads of this process; stopRequested() additionally
+  // hears wire broadcasts when this rank is a forked worker.
+  while (!Shared.StopRequested.load(std::memory_order_relaxed) &&
+         !(Comm && Comm->stopRequested())) {
+    if ((Quota >= 0 ? Done : Shared.ClaimedVolume.fetch_add(
+                                 1, std::memory_order_relaxed)) >= Limit)
+      break;
+    if (Config.RngBackend == RngBackendKind::Philox) {
+      // Counter partitioning: realization k of this rank owns draw
+      // interval k·2^nr — the same coordinates the (possibly stride-N)
+      // cursor would leap to.
+      Philox Stream = Philox::streamFor(
+          StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
+                            Cursor.nextRealizationIndex()},
+          Run.Hierarchy.leapTable().config());
+      Cursor.noteRealizationIssued();
+      compute(Stream);
+    } else {
+      Lcg128 Stream = Cursor.beginRealization();
+      compute(Stream);
+    }
+    Mine.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
+    // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway,
+    // so per-realization metrics cost two relaxed atomic updates.
+    Run.RealizationsTotal.add();
+    Run.RankRealizations[size_t(Rank)]->add();
+    Run.RealizationLatency.recordNanos(ComputeEnd - ComputeStart);
+    if (Run.Trace)
+      Run.Trace->completeSpan("runner.realization", Rank, ComputeStart,
+                              ComputeEnd);
+    Mine.Moments.accumulate(Out.data());
+    for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
+      const HistogramSpec &Spec = Config.Histograms[Index];
+      Mine.Histograms[Index].add(Out[Spec.Row * Config.Columns + Spec.Column]);
+    }
+    ++Done;
+
+    // Injected worker death: the rank vanishes mid-run without a final
+    // send. PersistBeforeCrash models a node whose filesystem survives the
+    // process (the paper's cluster), so manaver can still recover every
+    // completed realization.
+    if (Crash && Done >= Crash->AfterRealizations) {
+      if (Crash->PersistBeforeCrash)
+        (void)Run.Store.writeSnapshot(Run.Store.subtotalPath(Rank), Mine);
+      Run.Injector->noteWorkerCrashed(Rank);
+      if (Crash->RaiseKillSignal)
+        Comm->crashHard(); // SIGKILL the worker process: a real node loss
+      Comm->markDead(Rank);
+      return false;
+    }
+
+    const int64_t Now = ComputeEnd;
+    if (Config.TimeLimitNanos > 0 &&
+        Now - Run.StartNanos >= Config.TimeLimitNanos) {
+      Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
+      Shared.StopRequested.store(true, std::memory_order_relaxed);
+      if (Comm)
+        Comm->requestStop(StopReason::TimeLimit);
+      if (Run.Trace)
+        Run.Trace->instantAt("runner.stop.time_limit", Rank, Now);
+    }
+    const bool PassNow = passDue(Config, Now, LastPassNanos);
+    if (PassNow)
+      LastPassNanos = Now;
+    Tail(PassNow);
+  }
+  return true;
+}
+
+/// Rank 0's collector (§2.2, §3.2): keeps the latest cumulative partial
+/// of every rank, merges them onto the base by eq. (5) at save points,
+/// writes results and checkpoints, and ends the run with the final
+/// collection. Lives in the calling process; while the engine runs only
+/// rank 0's thread touches it.
+class Collector {
+public:
+  Collector(RunContext &Run, RunBase Start)
+      : Run(Run), Base(std::move(Start.Snapshot)) {
+    Report.ResumedFromBackup = Start.ResumedFromBackup;
+    Report.RestoredFromShards = Start.RestoredFromShards;
+  }
+
+  /// Records the first IO failure rank 0 sees; the run returns it.
+  void fail(Status Failure) {
+    if (!Failure && this->Failure.isOk())
+      this->Failure = std::move(Failure);
+  }
+
+  /// Binds rank 0's communicator: stop and abort decisions are broadcast
+  /// through it so they cross address spaces under the process transport
+  /// (Shared's atomics only reach threads of this process). Rank 0 always
+  /// runs in the calling process, so the background writer thread
+  /// spawned here never crosses a fork.
+  void attach(Communicator &Comm) {
+    RootComm = &Comm;
+    if (Config.CheckpointAsync)
+      AsyncWriter.emplace(Run.Ckpt, Config.CheckpointQueueDepth,
+                          &Run.Registry);
+  }
+
+  /// Drains rank 0's inbox and saves when the averaging period is due.
+  void poll(Communicator &Comm) {
+    while (std::optional<Message> Incoming = Comm.tryReceive())
+      handle(*Incoming);
+    const int64_t Now = Run.Time.nowNanos();
+    if (Now - LastSaveNanos >= Config.AveragePeriodNanos)
+      savePoint(Now);
+  }
+
+  void collectFinals(Communicator &Comm);
+  void windDown();
+
+  RunReport Report;
+  Status Failure;
+
+private:
+  void handle(const Message &Incoming);
+  void savePoint(int64_t NowNanos, bool IsFinal = false);
+  void checkpoint(const MomentSnapshot &Merged);
+  RunLogInfo buildLog(const MomentSnapshot &Merged, int64_t NowNanos) const;
+
+  RunContext &Run;
+  const RunConfig &Config = Run.Config;
+  const MomentSnapshot Base;
+  // The merged-base shard every sharded commit references, serialized
+  // once: the base is frozen for the whole run.
+  const std::string BaseFileBody =
+      Config.CheckpointShards ? Base.toFileContents() : std::string();
+  PartialTable Ranks{size_t(Config.ProcessorCount)};
+  // Sharded checkpointing: the latest shard file each rank reported,
+  // keyed by the rank's own monotone write index (0 = none yet) so
+  // duplicated or reordered reports (injected faults) can never roll a
+  // reference backwards.
+  std::vector<ckpt::ShardEntry> ShardRef{size_t(Config.ProcessorCount)};
+  std::vector<int64_t> ShardIndexSeen =
+      std::vector<int64_t>(size_t(Config.ProcessorCount), 0);
+  int64_t LastSaveNanos = Run.StartNanos;
+  Communicator *RootComm = nullptr;
+  // Background checkpoint writer: created at attach(), wound down after
+  // the engine returns so every exit path — including a simulated
+  // collector death — is covered.
+  std::optional<ckpt::BackgroundWriter> AsyncWriter;
+  obs::Counter &SavePoints = Run.Registry.counter("runner.save_points");
+  obs::LatencyHistogram &MergeLatency =
+      Run.Registry.latency("runner.subtotal_merge");
+  obs::LatencyHistogram &SavePointLatency =
+      Run.Registry.latency("runner.save_point");
+  obs::Counter &DeadWorkersCounter =
+      Run.Registry.counter("runner.dead_workers");
+  obs::LatencyHistogram *SaveStall = // sharded runs only
+      Config.CheckpointShards ? &Run.Registry.latency("ckpt.save_stall")
+                              : nullptr;
+};
+
+void Collector::handle(const Message &Incoming) {
+  if (Incoming.Tag != TagShardReport) {
+    Result<MomentSnapshot> Snapshot =
+        MomentSnapshot::fromBytes(Incoming.Payload);
+    if (!Snapshot)
+      fail(Snapshot.status());
+    else
+      Ranks.store(size_t(Incoming.Source), std::move(Snapshot).value(),
+                  Incoming.Tag == TagFinal);
+    return;
+  }
+  ByteReader Reader(Incoming.Payload);
+  Result<int64_t> WriteIndex = Reader.readI64();
+  Result<std::string> File = Reader.readString();
+  Result<uint32_t> Crc = Reader.readU32();
+  Result<uint64_t> Bytes = Reader.readU64();
+  Result<int64_t> Volume = Reader.readI64();
+  if (!WriteIndex || !File || !Crc || !Bytes || !Volume || !Reader.atEnd()) {
+    fail(parseError("malformed shard report from rank " +
+                    std::to_string(Incoming.Source)));
+    return;
+  }
+  const size_t Source = size_t(Incoming.Source);
+  if (WriteIndex.value() <= ShardIndexSeen[Source])
+    return;
+  ShardIndexSeen[Source] = WriteIndex.value();
+  ShardRef[Source] = ckpt::ShardEntry{Incoming.Source, std::move(File).value(),
+                                      Crc.value(), Bytes.value(),
+                                      Volume.value()};
+}
+
+RunLogInfo Collector::buildLog(const MomentSnapshot &Merged,
+                               int64_t NowNanos) const {
+  RunLogInfo Log;
+  Log.TotalSampleVolume = Merged.Moments.sampleVolume();
+  Log.NewSampleVolume =
+      Merged.Moments.sampleVolume() - Base.Moments.sampleVolume();
+  // Workers only ever add realizations to the resumed base, so the merged
+  // volume can never shrink; if it does, a snapshot went bad.
+  PARMONC_ASSERT(Log.NewSampleVolume >= 0,
+                 "sample volume must be monotone across save-points");
+  const double NewComputeSeconds = Merged.ComputeSeconds - Base.ComputeSeconds;
+  Log.MeanRealizationSeconds =
+      Log.NewSampleVolume > 0 ? NewComputeSeconds / double(Log.NewSampleVolume)
+                              : 0.0;
+  Log.ElapsedSeconds = double(NowNanos - Run.StartNanos) * 1e-9;
+  Log.ProcessorCount = Config.ProcessorCount;
+  Log.SequenceNumber = Config.SequenceNumber;
+  Log.Resumed = Config.Resume;
+  Log.Degraded = !Report.DeadWorkers.empty() ||
+                 Run.Shared.FailedSends.load(std::memory_order_relaxed) > 0;
+  Log.DeadWorkerCount = int(Report.DeadWorkers.size());
+  Log.ResumedFromBackup = Report.ResumedFromBackup;
+  if (Merged.Moments.sampleVolume() > 0) {
+    const ErrorBounds Bounds =
+        Merged.Moments.errorBounds(Config.ErrorMultiplier);
+    Log.MaxAbsoluteError = Bounds.MaxAbsoluteError;
+    Log.MaxRelativeErrorPercent = Bounds.MaxRelativeError;
+    Log.MaxVariance = Bounds.MaxVariance;
+  }
+  return Log;
+}
+
+void Collector::savePoint(int64_t NowNanos, bool IsFinal) {
+  const int64_t MergeStart = Run.Time.nowNanos();
+  const MomentSnapshot Merged = Ranks.mergedOnto(Base);
+  const int64_t MergeEnd = Run.Time.nowNanos();
+  if (Merged.Moments.sampleVolume() <= 0)
+    return; // nothing to report yet
+  // Injected collector death: the save about to happen never does, and
+  // the whole run stops — exactly a job killed mid-save. On-disk state
+  // stays at the previous save-point plus whatever subtotals the workers
+  // persisted, which is what manaver (§3.4) recovers from.
+  if (Run.Injector &&
+      Run.Injector->takeCollectorCrash(Report.SavePointCount + 1, IsFinal)) {
+    Run.Injector->noteCollectorCrashed();
+    Run.Shared.Killed.store(true, std::memory_order_relaxed);
+    Run.Shared.StopRequested.store(true, std::memory_order_relaxed);
+    if (RootComm)
+      RootComm->requestAbort();
+    return;
+  }
+  MergeLatency.recordNanos(MergeEnd - MergeStart);
+  if (Run.Trace)
+    Run.Trace->completeSpan("runner.subtotal_merge", 0, MergeStart, MergeEnd);
+  const RunLogInfo Log = buildLog(Merged, NowNanos);
+  fail(Run.Store.writeResults(Merged.Moments, Log, Config.ErrorMultiplier));
+  checkpoint(Merged);
+  for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
+    const HistogramSpec &Spec = Config.Histograms[Index];
+    fail(writeFileAtomic(histogramPath(Run.Store, Spec.Row, Spec.Column),
+                         Merged.Histograms[Index].toFileContents()));
+  }
+  ++Report.SavePointCount;
+  LastSaveNanos = NowNanos;
+  SavePoints.add();
+  const int64_t SaveEnd = Run.Time.nowNanos();
+  SavePointLatency.recordNanos(SaveEnd - MergeStart);
+  if (Run.Trace)
+    Run.Trace->completeSpan("runner.save_point", 0, MergeStart, SaveEnd);
+
+  if (Config.OnSavePoint) {
+    RunProgress Progress;
+    Progress.TotalSampleVolume = Log.TotalSampleVolume;
+    Progress.MaxAbsoluteError = Log.MaxAbsoluteError;
+    Progress.MaxRelativeErrorPercent = Log.MaxRelativeErrorPercent;
+    Progress.ElapsedSeconds = Log.ElapsedSeconds;
+    Progress.SavePointCount = Report.SavePointCount;
+    Config.OnSavePoint(Progress);
+  }
+
+  // Early-stop targets are evaluated on saved (i.e. reported) bounds.
+  const bool AbsoluteMet =
+      Config.TargetMaxAbsoluteError > 0.0 &&
+      Log.MaxAbsoluteError <= Config.TargetMaxAbsoluteError;
+  const bool RelativeMet =
+      Config.TargetMaxRelativeErrorPercent > 0.0 &&
+      Log.MaxRelativeErrorPercent <= Config.TargetMaxRelativeErrorPercent;
+  if (AbsoluteMet || RelativeMet) {
+    Run.Shared.StoppedOnErrorTarget.store(true, std::memory_order_relaxed);
+    Run.Shared.StopRequested.store(true, std::memory_order_relaxed);
+    if (RootComm)
+      RootComm->requestStop(StopReason::ErrorTarget);
+    if (Run.Trace)
+      Run.Trace->instantAt("runner.stop.error_target", 0, SaveEnd);
+  }
+}
+
+/// Checkpoints \p Merged: checkpoint.dat, or with CheckpointShards a
+/// manifest commit referencing the latest shard every rank has published.
+/// Worker shards carry this run's contributions only; the base shard
+/// carries everything inherited, so base + shards reconstructs the merged
+/// state exactly.
+void Collector::checkpoint(const MomentSnapshot &Merged) {
+  if (!Config.CheckpointShards) {
+    fail(Run.Store.writeSnapshot(Run.Store.checkpointPath(), Merged));
+    return;
+  }
+  ckpt::CheckpointStore::CommitRequest Request;
+  Request.Generation = Report.SavePointCount + 1;
+  Request.SequenceNumber = Config.SequenceNumber;
+  Request.RankCount = Config.ProcessorCount;
+  Request.BaseBody = BaseFileBody;
+  Request.BaseVolume = Base.Moments.sampleVolume();
+  Request.KeepShards = Config.CheckpointKeepShards;
+  for (size_t Rank = 0; Rank < ShardRef.size(); ++Rank)
+    if (ShardIndexSeen[Rank] > 0)
+      Request.Shards.push_back(ShardRef[Rank]);
+  // The stall this save-point spends on checkpointing: the full commit
+  // when synchronous, a queue hand-off when asynchronous — the contrast
+  // BENCH_ckpt.json quantifies.
+  const int64_t HandoffStart = Run.Time.nowNanos();
+  if (AsyncWriter)
+    (void)AsyncWriter->enqueue(std::move(Request));
+  else
+    fail(Run.Ckpt.commit(Request));
+  SaveStall->recordNanos(Run.Time.nowNanos() - HandoffStart);
+}
+
+/// Final collection: keeps collecting until every rank's final snapshot
+/// has arrived, or — with a worker deadline configured — until the
+/// silence lasts long enough to declare the stragglers dead and finish
+/// degraded over the survivors (still a correct eq. 5 average, just over
+/// fewer ranks). Then the final save point, and the run's report.
+void Collector::collectFinals(Communicator &Comm) {
+  SharedRunState &Shared = Run.Shared;
+  int64_t LastProgressNanos = Run.Time.nowNanos();
+  while (Ranks.outstanding() > 0 &&
+         !Shared.Killed.load(std::memory_order_relaxed)) {
+    if (std::optional<Message> Incoming =
+            Comm.receiveWait(-1, /*TimeoutNanos=*/2'000'000, &Run.Time)) {
+      handle(*Incoming);
+      LastProgressNanos = Run.Time.nowNanos();
+    } else if (Config.WorkerDeadlineNanos > 0 &&
+               Run.Time.nowNanos() - LastProgressNanos >=
+                   Config.WorkerDeadlineNanos) {
+      for (int Straggler = 0; Straggler < Config.ProcessorCount; ++Straggler) {
+        if (!Ranks.retire(size_t(Straggler)))
+          continue;
+        Report.DeadWorkers.push_back(Straggler);
+        DeadWorkersCounter.add();
+        if (Run.Trace)
+          Run.Trace->instantAt("runner.dead_worker", Straggler,
+                               Run.Time.nowNanos());
+        Comm.markDead(Straggler);
+      }
+    }
+    // Periodic save-points continue while stragglers finish.
+    const int64_t Now = Run.Time.nowNanos();
+    if (Config.AveragePeriodNanos > 0 &&
+        Now - LastSaveNanos >= Config.AveragePeriodNanos)
+      savePoint(Now);
+  }
+  if (Shared.Killed.load(std::memory_order_relaxed))
+    return;
+  savePoint(Run.Time.nowNanos(), /*IsFinal=*/true); // covers everything
+  if (Shared.Killed.load(std::memory_order_relaxed))
+    return;
+
+  const RunLogInfo Log =
+      buildLog(Ranks.mergedOnto(Base), Run.Time.nowNanos());
+  Report.TotalSampleVolume = Log.TotalSampleVolume;
+  Report.NewSampleVolume = Log.NewSampleVolume;
+  Report.MeanRealizationSeconds = Log.MeanRealizationSeconds;
+  Report.ElapsedSeconds = Log.ElapsedSeconds;
+  Report.MaxAbsoluteError = Log.MaxAbsoluteError;
+  Report.MaxRelativeErrorPercent = Log.MaxRelativeErrorPercent;
+  Report.MaxVariance = Log.MaxVariance;
+  Report.StoppedOnErrorTarget =
+      Shared.StoppedOnErrorTarget.load(std::memory_order_relaxed);
+  Report.StoppedOnTimeLimit =
+      Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed);
+  for (size_t Rank = 0; Rank < size_t(Config.ProcessorCount); ++Rank)
+    Report.PerProcessorVolumes.push_back(Ranks.volume(Rank));
+}
+
+/// Winds the background checkpoint writer down on every path. A simulated
+/// collector death abandons the queue — whatever was still queued is
+/// lost, exactly as a SIGKILL would lose it — while a normal finish
+/// drains it and surfaces the first commit error.
+void Collector::windDown() {
+  if (!AsyncWriter)
+    return;
+  if (Run.Shared.Killed.load(std::memory_order_relaxed))
+    AsyncWriter->abandon();
+  else
+    fail(AsyncWriter->stop());
+  Report.CoalescedCheckpoints = AsyncWriter->coalescedCount();
+}
+
+/// One rank of the engine (§2.2): runs the realization loop — directly
+/// when WorkerThreadsPerRank == 1, on N worker threads otherwise — passes
+/// the rank's cumulative subtotal to rank 0, and on rank 0 drives the
+/// collector between realizations and through the final collection.
+class RankRunner {
+public:
+  RankRunner(RunContext &Run, Communicator &Comm, Collector *Root)
+      : Run(Run), Comm(Comm), Root(Root) {}
+
+  void run() {
+    if (Root)
+      Root->attach(Comm);
+    if (Config.WorkerThreadsPerRank > 1)
+      runThreaded();
+    else if (!runDirect())
+      return; // a crashed worker vanishes without a final send
+    // A crashed collector kills the whole job: nobody finalizes. Forked
+    // workers learn of the death from the abort broadcast.
+    if (Run.Shared.Killed.load(std::memory_order_relaxed) ||
+        Comm.abortRequested())
+      return;
+    sendSubtotal(TagFinal);
+    if (Root)
+      Root->collectFinals(Comm);
+  }
+
+private:
+  /// One rank, one loop: the rank thread accumulates straight into the
+  /// subtotal it sends, and rank 0 polls the collector in between.
+  bool runDirect() {
+    RealizationCursor Cursor(
+        Run.Hierarchy,
+        StreamCoordinates{Config.SequenceNumber, uint64_t(Rank), 0});
+    return runRealizations(Run, Rank, &Comm, Cursor, Quota, Local,
+                           [this](bool PassNow) {
+                             if (PassNow)
+                               sendSubtotal(TagSubtotal);
+                             if (Root)
+                               Root->poll(Comm);
+                           });
+  }
+
+  void runThreaded();
+  void sendSubtotal(int Tag);
+
+  RunContext &Run;
+  const RunConfig &Config = Run.Config;
+  Communicator &Comm;
+  Collector *Root; // rank 0 only
+  const int Rank = Comm.rank();
+  // This rank's share of maxsv. DeterministicSchedule splits it into fixed
+  // per-rank quotas, so per-rank volumes never depend on thread
+  // interleaving; otherwise -1 selects the shared counter, which maximizes
+  // throughput instead.
+  const int64_t Quota =
+      Config.DeterministicSchedule
+          ? roundRobinShare(Config.MaxSampleVolume, Config.ProcessorCount, Rank)
+          : -1;
+  MomentSnapshot Local = emptyPartial(Config); // cumulative subtotal
+  int64_t LastPersistNanos = Run.Time.nowNanos();
+  int64_t ShardWriteIndex = 0;
+};
+
+/// N worker threads inside this rank. Thread t owns a private partial and
+/// a stride-N cursor (it runs this rank's realizations t, t + N, ...), so
+/// the N threads jointly consume exactly the substreams the serial rank
+/// would. They hand *cumulative* partials to this rank thread through a
+/// mailbox — the same MPSC primitive the fabric uses — and only the rank
+/// thread talks to the collector, so the §2.2 protocol is untouched. The
+/// rank's subtotal is the thread table merged in thread-index order,
+/// independent of message arrival interleaving.
+void RankRunner::runThreaded() {
+  const int Threads = Config.WorkerThreadsPerRank;
+  Mailbox IntraRank;
+  WorkerGroup Workers(Threads, [&](int Thread) {
+    RealizationCursor Cursor(
+        Run.Hierarchy,
+        StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
+                          uint64_t(Thread)},
+        uint64_t(Threads));
+    MomentSnapshot Mine = emptyPartial(Config);
+    // Thread t owns the rank's realizations congruent to t modulo N.
+    const int64_t ThreadQuota =
+        Quota < 0 ? -1 : roundRobinShare(Quota, Threads, Thread);
+    (void)runRealizations(
+        Run, Rank, nullptr, Cursor, ThreadQuota, Mine, [&](bool PassNow) {
+          if (PassNow)
+            IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
+        });
+    // Always hand in the final partial — even a zero-quota thread, so the
+    // table's finals accounting stays exact.
+    IntraRank.push(Message{Thread, TagFinal, Mine.toBytes()});
+  });
+
+  PartialTable ThreadPartials{size_t(Threads)};
+  bool Fresh = false; // a partial arrived since the last merge
+  bool StopRelayed = false;
+  int64_t LastPassNanos = Run.Time.nowNanos();
+  while (ThreadPartials.outstanding() > 0) {
+    // Relay stop both ways: wire broadcasts into this process's Shared
+    // flags (so the worker threads wind down), and a locally detected
+    // time limit out onto the wire (so the other ranks hear it too).
+    if (!StopRelayed &&
+        Run.Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed)) {
+      Comm.requestStop(StopReason::TimeLimit);
+      StopRelayed = true;
+    }
+    if (Comm.stopRequested())
+      Run.Shared.StopRequested.store(true, std::memory_order_relaxed);
+    if (std::optional<Message> Incoming =
+            IntraRank.popWait(-1, /*TimeoutNanos=*/2'000'000, &Run.Time)) {
+      Result<MomentSnapshot> Snapshot =
+          MomentSnapshot::fromBytes(Incoming->Payload);
+      // Same-process round trip: a decode failure here is a bug, not an
+      // IO hazard.
+      PARMONC_ASSERT(Snapshot.isOk(), "intra-rank snapshot decode failed");
+      ThreadPartials.store(size_t(Incoming->Source),
+                           std::move(Snapshot).value(),
+                           Incoming->Tag == TagFinal);
+      Fresh = true;
+    }
+    // Only a new partial changes the merged subtotal: re-sending an
+    // unchanged one after every idle wake-up would flood rank 0.
+    const int64_t Now = Run.Time.nowNanos();
+    if (Fresh && passDue(Config, Now, LastPassNanos)) {
+      Fresh = false;
+      Local = ThreadPartials.mergedOnto(emptyPartial(Config));
+      if (Local.Moments.sampleVolume() > 0) {
+        sendSubtotal(TagSubtotal);
+        LastPassNanos = Now;
+      }
+    }
+    if (Root)
+      Root->poll(Comm);
+  }
+  Workers.join();
+  // Every thread's final partial, merged in thread order: the rank's
+  // definitive subtotal.
+  Local = ThreadPartials.mergedOnto(emptyPartial(Config));
+}
+
+/// Sends this rank's cumulative subtotal to rank 0 (§2.2), persisting it
+/// first when due.
+void RankRunner::sendSubtotal(int Tag) {
+  const int64_t SendStart = Run.Trace ? Run.Time.nowNanos() : 0;
+  // Persist BEFORE sending, so the worker's on-disk subtotal is always at
+  // least as fresh as the collector's view of this rank — §3.4's
+  // precondition for manaver recovering results "fresher than the moment
+  // of the last saving". The freshness manaver needs is bounded by the
+  // pass period, but in send-every-realization mode (PassPeriod 0)
+  // writing a file per realization would swamp fast workloads — persist
+  // at most every 250 ms there.
+  const int64_t PersistPeriodNanos =
+      Config.PassPeriodNanos > 0 ? Config.PassPeriodNanos : 250'000'000;
+  const int64_t Now = Run.Time.nowNanos();
+  if (Tag == TagFinal || Now - LastPersistNanos >= PersistPeriodNanos) {
+    (void)Run.Store.writeSnapshot(Run.Store.subtotalPath(Rank), Local);
+    if (Config.CheckpointShards) {
+      // Publish this rank's cumulative shard at subtotal-persist cadence
+      // and tell rank 0 where it landed. Shard freshness thus equals §3.4
+      // subtotal freshness; at the final send the shard body IS the final
+      // subtotal, which makes the committed generation reconstruct the
+      // collector's merged state exactly.
+      Result<ckpt::ShardEntry> Written = Run.Ckpt.writeShard(
+          Rank, Config.SequenceNumber, ++ShardWriteIndex,
+          Local.toFileContents(), Local.Moments.sampleVolume());
+      if (Written) {
+        ByteWriter ShardMsg;
+        ShardMsg.writeI64(ShardWriteIndex);
+        ShardMsg.writeString(Written.value().File);
+        ShardMsg.writeU32(Written.value().Crc);
+        ShardMsg.writeU64(Written.value().Bytes);
+        ShardMsg.writeI64(Written.value().Volume);
+        if (Status Sent = Comm.sendReliable(
+                0, TagShardReport, ShardMsg.takeBytes(),
+                Config.SendMaxAttempts, Config.SendRetryBackoffNanos,
+                &Run.Time);
+            !Sent)
+          // Cumulative shards: the next report covers this one.
+          Run.Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        // A rank that cannot publish keeps simulating — the manifest just
+        // references its previous shard — but the failure is never
+        // silent, and on rank 0 it fails the run like any other
+        // collector-side IO error.
+        Run.Registry.counter("ckpt.shard_write_failures").add();
+        if (Root)
+          Root->fail(Written.status());
+      }
+    }
+    LastPersistNanos = Now;
+  }
+  if (Status Sent = Comm.sendReliable(0, Tag, Local.toBytes(),
+                                      Config.SendMaxAttempts,
+                                      Config.SendRetryBackoffNanos, &Run.Time);
+      !Sent)
+    // The message is gone, but subtotals are cumulative: the next
+    // successful send covers everything this one carried.
+    Run.Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
+  Run.SubtotalsSent.add();
+  if (Run.Trace)
+    Run.Trace->completeSpan("runner.subtotal_send", Rank, SendStart,
+                            Run.Time.nowNanos());
+}
+
+/// The engine hosting options. The transports know nothing of fault
+/// policy: the injector's verdicts are adapted onto the mpsim hook type
+/// here. Both backends consult the hook at the same protocol points, so a
+/// deterministic plan replays the same per-source fault sequence over
+/// threads and sockets.
+EngineOptions hostingOptions(obs::MetricsRegistry &Registry,
+                             fault::FaultInjector *Injector, Clock &Time) {
+  EngineOptions Hosting;
+  Hosting.Metrics = &Registry;
+  if (!Injector)
+    return Hosting;
+  Hosting.FaultHook = [Injector](int Source, int Destination, int Tag) {
+    const fault::MessageDecision Decision =
+        Injector->onSendAttempt(Source, Destination, Tag);
+    using Act = SendFault::Action;
+    switch (Decision.Action) {
+    case fault::MessageAction::Deliver:
+      break;
+    case fault::MessageAction::Drop:
+      return SendFault{Act::Drop, 0};
+    case fault::MessageAction::Duplicate:
+      return SendFault{Act::Duplicate, 0};
+    case fault::MessageAction::Delay:
+      return SendFault{Act::Delay, Decision.DelayNanos};
+    case fault::MessageAction::FailSend:
+      return SendFault{Act::Fail, 0};
+    }
+    return SendFault{};
+  };
+  Hosting.FaultClock = &Time;
+  return Hosting;
+}
 
 } // namespace
 
@@ -175,16 +1006,6 @@ Status RunConfig::validate() const {
   return Status::ok();
 }
 
-/// Fresh (empty) histograms matching the configured specs.
-static std::vector<HistogramEstimator>
-makeHistograms(const RunConfig &Config) {
-  std::vector<HistogramEstimator> Histograms;
-  Histograms.reserve(Config.Histograms.size());
-  for (const HistogramSpec &Spec : Config.Histograms)
-    Histograms.emplace_back(Spec.Low, Spec.High, Spec.BinCount);
-  return Histograms;
-}
-
 Result<RunReport> runSimulation(const RealizationFn &Realization,
                                 const RunConfig &Config,
                                 Clock *ClockOverride) {
@@ -231,28 +1052,11 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
           // store's — the injector is plain data here.
           return Injector->corruptWrite(Path, Contents);
         });
-  // Leap table: an explicit parmonc_genparam.dat in the working directory
-  // overrides the configured exponents (§3.5).
   const int64_t LeapSetupStart = Time.nowNanos();
-  LeapTable Table(Lcg128::defaultMultiplier(), Config.Leaps);
-  if (fileExists(Store.genparamPath())) {
-    Result<LeapTable> Loaded = LeapTable::loadOrDefault(Store.genparamPath());
-    if (!Loaded)
-      return Loaded.status();
-    Table = std::move(Loaded).value();
-  }
-  // Backend dispatch: Philox partitions the same (e, p, k) coordinates by
-  // counter intervals, using the table's (possibly genparam-overridden)
-  // exponents. A genparam *multiplier* override is LCG arithmetic with no
-  // counter-based equivalent — silently ignoring it would ship different
-  // numbers than the operator asked for, so it is rejected instead.
-  const bool UsePhilox = Config.RngBackend == RngBackendKind::Philox;
-  if (UsePhilox && Table.baseMultiplier() != Lcg128::defaultMultiplier())
-    return failedPrecondition(
-        "parmonc_genparam.dat overrides the LCG multiplier, which has no "
-        "counter-based equivalent; remove the override or run the lcg128 "
-        "backend");
-  StreamHierarchy Hierarchy(Table);
+  Result<LeapTable> Table = loadLeapTable(Config, Store);
+  if (!Table)
+    return Table.status();
+  StreamHierarchy Hierarchy(std::move(Table).value());
   Hierarchy.attachMetrics(Registry);
   Registry.latency("rng.leap_setup")
       .recordNanos(Time.nowNanos() - LeapSetupStart);
@@ -260,878 +1064,72 @@ Result<RunReport> runSimulation(const RealizationFn &Realization,
     Trace->completeSpan("rng.leap_setup", 0, LeapSetupStart,
                         Time.nowNanos());
 
-  // Resumption (§3.2): res=1 loads the previous checkpoint as the base;
-  // res=0 starts from clean files.
-  MomentSnapshot Base;
-  Base.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-  Base.Histograms = makeHistograms(Config);
-  Base.SequenceNumber = Config.SequenceNumber;
-  bool ResumedFromBackup = false;
-  bool RestoredFromShards = false;
-  if (Config.Resume) {
-    // The full recovery ladder. A sharded manifest and a legacy
-    // checkpoint.dat can coexist — manaver rebuilds checkpoint.dat from
-    // the subtotal files after a crash that left mid-run manifests behind
-    // — and snapshots are cumulative, so whichever loadable state carries
-    // the larger sample volume is the fresher one and wins. Each side
-    // falls back to its own .prev generation before the comparison.
-    const bool HaveManifest = Ckpt.hasAnyManifest();
-    const bool HaveLegacy =
-        fileExists(Store.checkpointPath()) ||
-        fileExists(ResultsStore::backupPath(Store.checkpointPath()));
-    if (!HaveManifest && !HaveLegacy)
-      return failedPrecondition(
-          "resume requested but no checkpoint exists at " +
-          Store.checkpointPath());
-    bool HaveSharded = false;
-    bool HaveSingle = false;
-    bool ShardedBackup = false;
-    bool SingleBackup = false;
-    MomentSnapshot Sharded;
-    MomentSnapshot Single;
-    Status FirstError;
-    if (HaveManifest) {
-      // Rebuild the merged state from base + rank shards (bit-identical
-      // to the single-file path), falling back to the previous manifest
-      // generation on any CRC, short-read, missing-shard or payload
-      // failure.
-      Result<RecoveredCheckpoint> Recovered = restoreShardedCheckpoint(Ckpt);
-      if (Recovered) {
-        HaveSharded = true;
-        ShardedBackup = Recovered.value().FromBackupManifest;
-        Sharded = std::move(Recovered).value().Merged;
-      } else {
-        FirstError = Recovered.status();
-      }
-    }
-    if (HaveLegacy) {
-      // A checkpoint that fails its CRC is never loaded; the previous
-      // generation (checkpoint.dat.prev) covers the torn-write case.
-      Result<ResultsStore::RecoveredSnapshot> Recovered =
-          Store.readSnapshotWithFallback(Store.checkpointPath());
-      if (Recovered) {
-        HaveSingle = true;
-        SingleBackup = Recovered.value().FromBackup;
-        Single = std::move(Recovered).value().Snapshot;
-      } else if (FirstError.isOk()) {
-        FirstError = Recovered.status();
-      }
-    }
-    if (!HaveSharded && !HaveSingle)
-      return FirstError;
-    MomentSnapshot Previous;
-    const bool UseSharded =
-        HaveSharded &&
-        (!HaveSingle ||
-         Sharded.Moments.sampleVolume() >= Single.Moments.sampleVolume());
-    if (UseSharded) {
-      ResumedFromBackup = ShardedBackup;
-      RestoredFromShards = true;
-      Previous = std::move(Sharded);
-    } else {
-      // Either a legacy-only tree, every manifest generation was rejected
-      // (one more rung down the ladder — flagged as a backup resume), or
-      // checkpoint.dat is strictly fresher than the best manifest.
-      ResumedFromBackup = SingleBackup || (HaveManifest && !HaveSharded);
-      Previous = std::move(Single);
-    }
-    if (Previous.Moments.rows() != Config.Rows ||
-        Previous.Moments.columns() != Config.Columns)
-      return failedPrecondition(
-          "checkpoint shape does not match the configured matrix shape");
-    if (Previous.SequenceNumber == Config.SequenceNumber)
-      return failedPrecondition(
-          "resumed run must use a different experiment subsequence number "
-          "than the previous run (paper §3.2); previous used " +
-          std::to_string(Previous.SequenceNumber));
-    if (Previous.Histograms.size() != Config.Histograms.size())
-      return failedPrecondition(
-          "checkpoint histogram count does not match the configuration");
-    for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-      const HistogramEstimator &Saved = Previous.Histograms[Index];
-      const HistogramSpec &Spec = Config.Histograms[Index];
-      if (Saved.low() != Spec.Low || Saved.high() != Spec.High ||
-          Saved.binCount() != Spec.BinCount)
-        return failedPrecondition(
-            "checkpoint histogram geometry does not match the "
-            "configuration");
-    }
-    Base = std::move(Previous);
-    // The merged results of this run belong to the *new* experiment.
-    Base.SequenceNumber = Config.SequenceNumber;
-  } else {
-    if (Status Cleared = Store.clearPreviousRun(); !Cleared)
-      return Cleared;
-  }
+  Result<RunBase> Loaded = loadBase(Config, Store, Ckpt);
+  if (!Loaded)
+    return Loaded.status();
+  RunBase Start = std::move(Loaded).value();
   // After the res=0 clear (which removes the whole ckpt tree along with
   // the other per-run files), so the staging/shards directories survive.
   if (Config.CheckpointShards)
     if (Status Prepared = Ckpt.prepareDirectories(); !Prepared)
       return Prepared;
-  if (Status Written = Store.writeSnapshot(Store.basePath(), Base); !Written)
+  if (Status Written = Store.writeSnapshot(Store.basePath(), Start.Snapshot);
+      !Written)
     return Written;
 
   RunLogInfo StartLog;
   StartLog.SequenceNumber = Config.SequenceNumber;
   StartLog.Resumed = Config.Resume;
   StartLog.ProcessorCount = Config.ProcessorCount;
-  StartLog.TotalSampleVolume = Base.Moments.sampleVolume();
+  StartLog.TotalSampleVolume = Start.Snapshot.Moments.sampleVolume();
   StartLog.RngBackend = rngBackendName(Config.RngBackend);
   if (Status Logged = Store.appendExperimentLog(StartLog); !Logged)
     return Logged;
 
-  const int64_t StartNanos = Time.nowNanos();
-  const int RankCount = Config.ProcessorCount;
-  const size_t EntryCount = Config.Rows * Config.Columns;
-
-  SharedRunState Shared;
-  CollectorState Collector;
-  Collector.LatestFromRank.assign(size_t(RankCount), MomentSnapshot{});
-  Collector.HaveSnapshot.assign(size_t(RankCount), false);
-  Collector.FinalReceived.assign(size_t(RankCount), false);
-  Collector.FinalsOutstanding = RankCount;
-  Collector.LastSaveNanos = StartNanos;
-  Collector.ShardRef.assign(size_t(RankCount), ckpt::ShardEntry{});
-  Collector.HaveShardRef.assign(size_t(RankCount), false);
-  Collector.ShardIndexSeen.assign(size_t(RankCount), 0);
-
-  Status CollectorFailure; // first IO failure seen by rank 0
-  RunReport Report;
-
-  // The merged-base shard every sharded commit references. Base is frozen
-  // after the resume block, so serialize it once.
-  const std::string BaseFileBody =
-      Config.CheckpointShards ? Base.toFileContents() : std::string();
-
-  // Background checkpoint writer (rank 0, parent process only): created
-  // lazily at body entry, wound down after the engine returns so every
-  // exit path — including a simulated collector death — is covered.
-  std::optional<ckpt::BackgroundWriter> AsyncWriterStorage;
-  ckpt::BackgroundWriter *AsyncWriter = nullptr;
-
-  // Rank 0's communicator, captured at body entry: the collector-side
-  // helpers broadcast stop/abort through it so the decision crosses
-  // address spaces under the process transport (Shared's atomics only
-  // reach threads of this process).
-  Communicator *RootComm = nullptr;
-
-  // Pre-register every hot-path metric on the cold path: workers then only
-  // touch relaxed atomics through stable references.
-  obs::Counter &RealizationsTotal = Registry.counter("runner.realizations");
-  obs::Counter &SubtotalsSent = Registry.counter("runner.subtotals_sent");
-  obs::Counter &SavePoints = Registry.counter("runner.save_points");
-  obs::LatencyHistogram &RealizationLatency =
-      Registry.latency("runner.realization");
-  obs::LatencyHistogram &MergeLatency =
-      Registry.latency("runner.subtotal_merge");
-  obs::LatencyHistogram &SavePointLatency =
-      Registry.latency("runner.save_point");
-  obs::Counter &DeadWorkersCounter = Registry.counter("runner.dead_workers");
-  std::vector<obs::Counter *> RankRealizations;
-  RankRealizations.reserve(size_t(RankCount));
-  for (int Rank = 0; Rank < RankCount; ++Rank)
-    RankRealizations.push_back(&Registry.counter(
+  RunContext Run{Realization, Config, Time, Registry, Trace, Store, Ckpt,
+                 Injector, Hierarchy, /*StartNanos=*/Time.nowNanos(),
+                 Registry.counter("runner.realizations"),
+                 Registry.counter("runner.subtotals_sent"),
+                 Registry.latency("runner.realization"), {}};
+  for (int Rank = 0; Rank < Config.ProcessorCount; ++Rank)
+    Run.RankRealizations.push_back(&Registry.counter(
         "runner.rank" + std::to_string(Rank) + ".realizations"));
+  Collector Root(Run, std::move(Start));
 
-  // --- Collector helpers (rank 0 only) -----------------------------------
-
-  auto buildLog = [&](const MomentSnapshot &Merged,
-                      int64_t NowNanos) -> RunLogInfo {
-    RunLogInfo Log;
-    Log.TotalSampleVolume = Merged.Moments.sampleVolume();
-    Log.NewSampleVolume =
-        Merged.Moments.sampleVolume() - Base.Moments.sampleVolume();
-    // Workers only ever add realizations to the resumed base, so the
-    // merged volume can never shrink; if it does, a snapshot went bad.
-    PARMONC_ASSERT(Log.NewSampleVolume >= 0,
-                   "sample volume must be monotone across save-points");
-    const double NewComputeSeconds =
-        Merged.ComputeSeconds - Base.ComputeSeconds;
-    Log.MeanRealizationSeconds =
-        Log.NewSampleVolume > 0
-            ? NewComputeSeconds / double(Log.NewSampleVolume)
-            : 0.0;
-    Log.ElapsedSeconds = double(NowNanos - StartNanos) * 1e-9;
-    Log.ProcessorCount = RankCount;
-    Log.SequenceNumber = Config.SequenceNumber;
-    Log.Resumed = Config.Resume;
-    Log.Degraded =
-        !Collector.DeadWorkers.empty() ||
-        Shared.FailedSends.load(std::memory_order_relaxed) > 0;
-    Log.DeadWorkerCount = int(Collector.DeadWorkers.size());
-    Log.ResumedFromBackup = ResumedFromBackup;
-    if (Merged.Moments.sampleVolume() > 0) {
-      const ErrorBounds Bounds =
-          Merged.Moments.errorBounds(Config.ErrorMultiplier);
-      Log.MaxAbsoluteError = Bounds.MaxAbsoluteError;
-      Log.MaxRelativeErrorPercent = Bounds.MaxRelativeError;
-      Log.MaxVariance = Bounds.MaxVariance;
-    }
-    return Log;
-  };
-
-  auto savePoint = [&](int64_t NowNanos, bool IsFinal = false) {
-    const int64_t MergeStart = Time.nowNanos();
-    const MomentSnapshot Merged = Collector.mergeAll(Base);
-    const int64_t MergeEnd = Time.nowNanos();
-    if (Merged.Moments.sampleVolume() <= 0)
-      return; // nothing to report yet
-    // Injected collector death: the save about to happen never does, and
-    // the whole run stops — exactly a job killed mid-save. On-disk state
-    // stays at the previous save-point plus whatever subtotals the workers
-    // persisted, which is what manaver (§3.4) recovers from.
-    if (Injector &&
-        Injector->takeCollectorCrash(Collector.SavePointCount + 1,
-                                     IsFinal)) {
-      Injector->noteCollectorCrashed();
-      Shared.Killed.store(true, std::memory_order_relaxed);
-      Shared.StopRequested.store(true, std::memory_order_relaxed);
-      if (RootComm)
-        RootComm->requestAbort();
-      return;
-    }
-    MergeLatency.recordNanos(MergeEnd - MergeStart);
-    if (Trace)
-      Trace->completeSpan("runner.subtotal_merge", 0, MergeStart, MergeEnd);
-    const RunLogInfo Log = buildLog(Merged, NowNanos);
-    if (Status Written =
-            Store.writeResults(Merged.Moments, Log, Config.ErrorMultiplier);
-        !Written && CollectorFailure.isOk())
-      CollectorFailure = Written;
-    if (!Config.CheckpointShards) {
-      if (Status Written =
-              Store.writeSnapshot(Store.checkpointPath(), Merged);
-          !Written && CollectorFailure.isOk())
-        CollectorFailure = Written;
-    } else {
-      // Sharded commit: the manifest references the latest shard every
-      // rank has published so far. Worker shards carry this run's
-      // contributions only; the base shard carries everything inherited,
-      // so base + shards reconstructs the merged state exactly.
-      ckpt::CheckpointStore::CommitRequest Request;
-      Request.Generation = Collector.SavePointCount + 1;
-      Request.SequenceNumber = Config.SequenceNumber;
-      Request.RankCount = RankCount;
-      Request.BaseBody = BaseFileBody;
-      Request.BaseVolume = Base.Moments.sampleVolume();
-      Request.KeepShards = Config.CheckpointKeepShards;
-      for (size_t Rank = 0; Rank < size_t(RankCount); ++Rank)
-        if (Collector.HaveShardRef[Rank])
-          Request.Shards.push_back(Collector.ShardRef[Rank]);
-      // The stall this save-point spends on checkpointing: the full
-      // commit when synchronous, a queue hand-off when asynchronous —
-      // the contrast BENCH_ckpt.json quantifies.
-      const int64_t HandoffStart = Time.nowNanos();
-      if (AsyncWriter) {
-        (void)AsyncWriter->enqueue(std::move(Request));
-      } else if (Status Committed = Ckpt.commit(Request);
-                 !Committed && CollectorFailure.isOk()) {
-        CollectorFailure = Committed;
-      }
-      Registry.latency("ckpt.save_stall")
-          .recordNanos(Time.nowNanos() - HandoffStart);
-    }
-    for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-      const HistogramSpec &Spec = Config.Histograms[Index];
-      if (Status Written = writeFileAtomic(
-              histogramPath(Store, Spec.Row, Spec.Column),
-              Merged.Histograms[Index].toFileContents());
-          !Written && CollectorFailure.isOk())
-        CollectorFailure = Written;
-    }
-    ++Collector.SavePointCount;
-    Collector.LastSaveNanos = NowNanos;
-    SavePoints.add();
-    const int64_t SaveEnd = Time.nowNanos();
-    SavePointLatency.recordNanos(SaveEnd - MergeStart);
-    if (Trace)
-      Trace->completeSpan("runner.save_point", 0, MergeStart, SaveEnd);
-
-    if (Config.OnSavePoint) {
-      RunProgress Progress;
-      Progress.TotalSampleVolume = Log.TotalSampleVolume;
-      Progress.MaxAbsoluteError = Log.MaxAbsoluteError;
-      Progress.MaxRelativeErrorPercent = Log.MaxRelativeErrorPercent;
-      Progress.ElapsedSeconds = Log.ElapsedSeconds;
-      Progress.SavePointCount = Collector.SavePointCount;
-      Config.OnSavePoint(Progress);
-    }
-
-    // Early-stop targets are evaluated on saved (i.e. reported) bounds.
-    const bool AbsoluteMet =
-        Config.TargetMaxAbsoluteError > 0.0 &&
-        Log.MaxAbsoluteError <= Config.TargetMaxAbsoluteError;
-    const bool RelativeMet =
-        Config.TargetMaxRelativeErrorPercent > 0.0 &&
-        Log.MaxRelativeErrorPercent <= Config.TargetMaxRelativeErrorPercent;
-    if (AbsoluteMet || RelativeMet) {
-      Shared.StoppedOnErrorTarget.store(true, std::memory_order_relaxed);
-      Shared.StopRequested.store(true, std::memory_order_relaxed);
-      if (RootComm)
-        RootComm->requestStop(StopReason::ErrorTarget);
-      if (Trace)
-        Trace->instantAt("runner.stop.error_target", 0, SaveEnd);
-    }
-  };
-
-  auto handleMessage = [&](const Message &Incoming) {
-    if (Incoming.Tag == TagShardReport) {
-      ByteReader Reader(Incoming.Payload);
-      Result<int64_t> WriteIndex = Reader.readI64();
-      Result<std::string> File = Reader.readString();
-      Result<uint32_t> Crc = Reader.readU32();
-      Result<uint64_t> Bytes = Reader.readU64();
-      Result<int64_t> Volume = Reader.readI64();
-      if (!WriteIndex || !File || !Crc || !Bytes || !Volume ||
-          !Reader.atEnd()) {
-        if (CollectorFailure.isOk())
-          CollectorFailure = parseError("malformed shard report from rank " +
-                                        std::to_string(Incoming.Source));
-        return;
-      }
-      const size_t Source = size_t(Incoming.Source);
-      // Duplicated or delayed reports (injected faults) must never roll a
-      // manifest reference back to an older shard.
-      if (WriteIndex.value() <= Collector.ShardIndexSeen[Source])
-        return;
-      Collector.ShardIndexSeen[Source] = WriteIndex.value();
-      ckpt::ShardEntry &Entry = Collector.ShardRef[Source];
-      Entry.Rank = Incoming.Source;
-      Entry.File = std::move(File).value();
-      Entry.Crc = Crc.value();
-      Entry.Bytes = Bytes.value();
-      Entry.Volume = Volume.value();
-      Collector.HaveShardRef[Source] = true;
-      return;
-    }
-    Result<MomentSnapshot> Snapshot =
-        MomentSnapshot::fromBytes(Incoming.Payload);
-    if (!Snapshot) {
-      if (CollectorFailure.isOk())
-        CollectorFailure = Snapshot.status();
-      return;
-    }
-    const size_t Rank = size_t(Incoming.Source);
-    Collector.LatestFromRank[Rank] = std::move(Snapshot).value();
-    Collector.HaveSnapshot[Rank] = true;
-    if (Incoming.Tag == TagFinal && !Collector.FinalReceived[Rank]) {
-      Collector.FinalReceived[Rank] = true;
-      --Collector.FinalsOutstanding;
-    }
-  };
-
-  auto collectorPoll = [&](Communicator &Comm, bool ForceSave) {
-    while (std::optional<Message> Incoming = Comm.tryReceive())
-      handleMessage(*Incoming);
-    const int64_t Now = Time.nowNanos();
-    if (ForceSave ||
-        Now - Collector.LastSaveNanos >= Config.AveragePeriodNanos)
-      savePoint(Now);
-  };
-
-  // --- Worker body (every rank, including 0) ------------------------------
-
-  // mclint: allow(R12): every rank lambda joins before this scope exits,
-  // so the by-reference capture of the stream hierarchy cannot outlive it.
-  auto body = [&](Communicator &Comm) {
-    const int Rank = Comm.rank();
-    if (Rank == 0) {
-      RootComm = &Comm;
-      // Rank 0 always runs in the calling process (both transports), so
-      // the writer thread spawned here never crosses a fork.
-      if (Config.CheckpointAsync) {
-        AsyncWriterStorage.emplace(Ckpt, Config.CheckpointQueueDepth,
-                                   &Registry);
-        AsyncWriter = &*AsyncWriterStorage;
-      }
-    }
-    const int ThreadsPerRank = Config.WorkerThreadsPerRank;
-
-    MomentSnapshot Local;
-    Local.SequenceNumber = Config.SequenceNumber;
-    Local.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-    Local.Histograms = makeHistograms(Config);
-    std::vector<double> Out(EntryCount);
-
-    int64_t LastPassNanos = Time.nowNanos();
-    int64_t LastPersistNanos = LastPassNanos;
-    // The on-disk subtotal freshness manaver needs (§3.4) is bounded by
-    // the pass period, but in send-every-realization mode (PassPeriod 0)
-    // writing a file per realization would swamp fast workloads — persist
-    // at most every 250 ms there.
-    const int64_t PersistPeriodNanos =
-        Config.PassPeriodNanos > 0 ? Config.PassPeriodNanos : 250'000'000;
-
-    int64_t ShardWriteIndex = 0;
-    auto sendSubtotal = [&](int Tag) {
-      const int64_t SendStart = Trace ? Time.nowNanos() : 0;
-      // Persist BEFORE sending, so the worker's on-disk subtotal is always
-      // at least as fresh as the collector's view of this rank — §3.4's
-      // precondition for manaver recovering results "fresher than the
-      // moment of the last saving".
-      const int64_t Now = Time.nowNanos();
-      if (Tag == TagFinal || Now - LastPersistNanos >= PersistPeriodNanos) {
-        (void)Store.writeSnapshot(Store.subtotalPath(Rank), Local);
-        if (Config.CheckpointShards) {
-          // Publish this rank's cumulative shard at subtotal-persist
-          // cadence and tell rank 0 where it landed. Shard freshness thus
-          // equals §3.4 subtotal freshness; at the final send the shard
-          // body IS the final subtotal, which makes the committed
-          // generation reconstruct the collector's merged state exactly.
-          Result<ckpt::ShardEntry> Written =
-              Ckpt.writeShard(Rank, Config.SequenceNumber, ++ShardWriteIndex,
-                              Local.toFileContents(),
-                              Local.Moments.sampleVolume());
-          if (Written) {
-            ByteWriter ShardMsg;
-            ShardMsg.writeI64(ShardWriteIndex);
-            ShardMsg.writeString(Written.value().File);
-            ShardMsg.writeU32(Written.value().Crc);
-            ShardMsg.writeU64(Written.value().Bytes);
-            ShardMsg.writeI64(Written.value().Volume);
-            if (Status Sent = Comm.sendReliable(0, TagShardReport,
-                                                ShardMsg.takeBytes(),
-                                                Config.SendMaxAttempts,
-                                                Config.SendRetryBackoffNanos,
-                                                &Time);
-                !Sent)
-              // Cumulative shards: the next report covers this one.
-              Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            // A rank that cannot publish keeps simulating — the manifest
-            // just references its previous shard — but the failure is
-            // never silent, and on rank 0 it fails the run like any other
-            // collector-side IO error.
-            Registry.counter("ckpt.shard_write_failures").add();
-            if (Rank == 0 && CollectorFailure.isOk())
-              CollectorFailure = Written.status();
-          }
-        }
-        LastPersistNanos = Now;
-      }
-      if (Status Sent = Comm.sendReliable(0, Tag, Local.toBytes(),
-                                          Config.SendMaxAttempts,
-                                          Config.SendRetryBackoffNanos,
-                                          &Time);
-          !Sent)
-        // The message is gone, but subtotals are cumulative: the next
-        // successful send covers everything this one carried.
-        Shared.FailedSends.fetch_add(1, std::memory_order_relaxed);
-      SubtotalsSent.add();
-      if (Trace)
-        Trace->completeSpan("runner.subtotal_send", Rank, SendStart,
-                            Time.nowNanos());
-    };
-
-    // Deterministic scheduling splits maxsv into fixed per-rank quotas, so
-    // per-rank volumes never depend on thread interleaving; the default
-    // shared counter maximizes throughput instead.
-    const int64_t Quota =
-        Config.DeterministicSchedule
-            ? Config.MaxSampleVolume / RankCount +
-                  (Rank < int(Config.MaxSampleVolume % RankCount) ? 1 : 0)
-            : -1;
-
-    if (ThreadsPerRank == 1) {
-    RealizationCursor Cursor(
-        Hierarchy,
-        StreamCoordinates{Config.SequenceNumber, uint64_t(Rank), 0});
-    int64_t Completed = 0;
-    const fault::WorkerCrashSpec *Crash =
-        Injector ? Injector->workerCrash(Rank) : nullptr;
-
-    // Shared covers threads of this process; stopRequested() additionally
-    // hears wire broadcasts when this rank is a forked worker.
-    while (!Shared.StopRequested.load(std::memory_order_relaxed) &&
-           !Comm.stopRequested()) {
-      if (Quota >= 0) {
-        if (Completed >= Quota)
-          break;
-      } else {
-        const int64_t Claimed =
-            Shared.ClaimedVolume.fetch_add(1, std::memory_order_relaxed);
-        if (Claimed >= Config.MaxSampleVolume)
-          break;
-      }
-
-      int64_t ComputeStart = 0;
-      int64_t ComputeEnd = 0;
-      if (UsePhilox) {
-        // Counter partitioning: realization k of this rank owns draw
-        // interval k·2^nr — the same coordinates the cursor would leap to.
-        Philox Stream = Philox::streamFor(
-            StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
-                              Cursor.nextRealizationIndex()},
-            Table.config());
-        Cursor.noteRealizationIssued();
-        ComputeStart = Time.nowNanos();
-        Realization(Stream, Out.data());
-        ComputeEnd = Time.nowNanos();
-      } else {
-        Lcg128 Stream = Cursor.beginRealization();
-        ComputeStart = Time.nowNanos();
-        Realization(Stream, Out.data());
-        ComputeEnd = Time.nowNanos();
-      }
-      Local.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
-      // Reuses the ComputeStart/ComputeEnd reads the engine takes anyway,
-      // so per-realization metrics cost two relaxed atomic updates.
-      RealizationsTotal.add();
-      RankRealizations[size_t(Rank)]->add();
-      RealizationLatency.recordNanos(ComputeEnd - ComputeStart);
-      if (Trace)
-        Trace->completeSpan("runner.realization", Rank, ComputeStart,
-                            ComputeEnd);
-      Local.Moments.accumulate(Out.data());
-      for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-        const HistogramSpec &Spec = Config.Histograms[Index];
-        Local.Histograms[Index].add(
-            Out[Spec.Row * Config.Columns + Spec.Column]);
-      }
-      ++Completed;
-
-      // Injected worker death: the thread vanishes mid-run without a final
-      // send. PersistBeforeCrash models a node whose filesystem survives
-      // the process (the paper's cluster), so manaver can still recover
-      // every completed realization.
-      if (Crash && Completed >= Crash->AfterRealizations) {
-        if (Crash->PersistBeforeCrash)
-          (void)Store.writeSnapshot(Store.subtotalPath(Rank), Local);
-        Injector->noteWorkerCrashed(Rank);
-        if (Crash->RaiseKillSignal)
-          Comm.crashHard(); // SIGKILL the worker process: a real node loss
-        Comm.markDead(Rank);
-        return;
-      }
-
-      const int64_t Now = ComputeEnd;
-      if (Config.TimeLimitNanos > 0 &&
-          Now - StartNanos >= Config.TimeLimitNanos) {
-        Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
-        Shared.StopRequested.store(true, std::memory_order_relaxed);
-        Comm.requestStop(StopReason::TimeLimit);
-        if (Trace)
-          Trace->instantAt("runner.stop.time_limit", Rank, Now);
-      }
-      if (Config.PassPeriodNanos == 0 ||
-          Now - LastPassNanos >= Config.PassPeriodNanos) {
-        sendSubtotal(TagSubtotal);
-        LastPassNanos = Now;
-      }
-      if (Rank == 0)
-        collectorPoll(Comm, /*ForceSave=*/false);
-    }
-    } else {
-    // --- Threaded fan-out: N worker threads inside this rank -------------
-    // Each thread owns a private accumulator and a stride-N cursor (thread
-    // t runs this rank's realizations t, t + N, ...), so the N threads
-    // jointly consume exactly the substreams the serial rank would. They
-    // hand *cumulative* snapshots to this rank thread through a mailbox —
-    // the same MPSC primitive the fabric uses — and only the rank thread
-    // talks to the collector, so the §2.2 protocol is untouched. Thread
-    // partials merge in thread-index order, making the merged rank
-    // snapshot independent of message arrival interleaving.
-    Mailbox IntraRank;
-    auto workerBody = [&](int Thread) {
-      RealizationCursor Cursor(
-          Hierarchy,
-          StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
-                            uint64_t(Thread)},
-          uint64_t(ThreadsPerRank));
-      MomentSnapshot Mine;
-      Mine.SequenceNumber = Config.SequenceNumber;
-      Mine.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-      Mine.Histograms = makeHistograms(Config);
-      std::vector<double> ThreadOut(EntryCount);
-      // Round-robin split of the rank quota: thread t owns the rank's
-      // realizations congruent to t modulo N.
-      const int64_t ThreadQuota =
-          Quota < 0 ? -1
-                    : (Quota > Thread ? (Quota - Thread + ThreadsPerRank - 1) /
-                                            ThreadsPerRank
-                                      : 0);
-      int64_t Done = 0;
-      int64_t LastThreadPassNanos = Time.nowNanos();
-
-      while (!Shared.StopRequested.load(std::memory_order_relaxed)) {
-        if (ThreadQuota >= 0) {
-          if (Done >= ThreadQuota)
-            break;
-        } else {
-          const int64_t Claimed =
-              Shared.ClaimedVolume.fetch_add(1, std::memory_order_relaxed);
-          if (Claimed >= Config.MaxSampleVolume)
-            break;
-        }
-
-        int64_t ComputeStart = 0;
-        int64_t ComputeEnd = 0;
-        if (UsePhilox) {
-          // Thread t draws from realization intervals t, t + N, ... — the
-          // identical stride-N partition the LCG cursor leaps through.
-          Philox Stream = Philox::streamFor(
-              StreamCoordinates{Config.SequenceNumber, uint64_t(Rank),
-                                Cursor.nextRealizationIndex()},
-              Table.config());
-          Cursor.noteRealizationIssued();
-          ComputeStart = Time.nowNanos();
-          Realization(Stream, ThreadOut.data());
-          ComputeEnd = Time.nowNanos();
-        } else {
-          Lcg128 Stream = Cursor.beginRealization();
-          ComputeStart = Time.nowNanos();
-          Realization(Stream, ThreadOut.data());
-          ComputeEnd = Time.nowNanos();
-        }
-        Mine.ComputeSeconds += double(ComputeEnd - ComputeStart) * 1e-9;
-        RealizationsTotal.add();
-        RankRealizations[size_t(Rank)]->add();
-        RealizationLatency.recordNanos(ComputeEnd - ComputeStart);
-        if (Trace)
-          Trace->completeSpan("runner.realization", Rank, ComputeStart,
-                              ComputeEnd);
-        Mine.Moments.accumulate(ThreadOut.data());
-        for (size_t Index = 0; Index < Config.Histograms.size(); ++Index) {
-          const HistogramSpec &Spec = Config.Histograms[Index];
-          Mine.Histograms[Index].add(
-              ThreadOut[Spec.Row * Config.Columns + Spec.Column]);
-        }
-        ++Done;
-
-        const int64_t Now = ComputeEnd;
-        if (Config.TimeLimitNanos > 0 &&
-            Now - StartNanos >= Config.TimeLimitNanos) {
-          Shared.StoppedOnTimeLimit.store(true, std::memory_order_relaxed);
-          Shared.StopRequested.store(true, std::memory_order_relaxed);
-          if (Trace)
-            Trace->instantAt("runner.stop.time_limit", Rank, Now);
-        }
-        if (Config.PassPeriodNanos == 0 ||
-            Now - LastThreadPassNanos >= Config.PassPeriodNanos) {
-          IntraRank.push(Message{Thread, TagSubtotal, Mine.toBytes()});
-          LastThreadPassNanos = Now;
-        }
-      }
-      // Always hand in the final partial — even a zero-quota thread, so
-      // the rank loop's finals accounting stays exact.
-      IntraRank.push(Message{Thread, TagFinal, Mine.toBytes()});
-    };
-
-    WorkerGroup Workers(ThreadsPerRank, workerBody);
-
-    const size_t ThreadCount = size_t(ThreadsPerRank);
-    std::vector<MomentSnapshot> ThreadLatest(ThreadCount);
-    std::vector<bool> ThreadHave(ThreadCount, false);
-    int ThreadFinalsOutstanding = ThreadsPerRank;
-    auto mergeThreads = [&] {
-      MomentSnapshot Merged;
-      Merged.SequenceNumber = Config.SequenceNumber;
-      Merged.Moments = EstimatorMatrix(Config.Rows, Config.Columns);
-      Merged.Histograms = makeHistograms(Config);
-      for (int Thread = 0; Thread < ThreadsPerRank; ++Thread)
-        if (ThreadHave[size_t(Thread)])
-          mergeSnapshotInto(Merged, ThreadLatest[size_t(Thread)]);
-      return Merged;
-    };
-
-    bool StopRelayed = false;
-    while (ThreadFinalsOutstanding > 0) {
-      // Relay stop both ways: wire broadcasts into this process's Shared
-      // flags (so the worker threads wind down), and a locally detected
-      // time limit out onto the wire (so the other ranks hear it too).
-      if (!StopRelayed &&
-          Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed)) {
-        Comm.requestStop(StopReason::TimeLimit);
-        StopRelayed = true;
-      }
-      if (Comm.stopRequested())
-        Shared.StopRequested.store(true, std::memory_order_relaxed);
-      if (std::optional<Message> Incoming =
-              IntraRank.popWait(-1, /*TimeoutNanos=*/2'000'000, &Time)) {
-        Result<MomentSnapshot> Snapshot =
-            MomentSnapshot::fromBytes(Incoming->Payload);
-        // Same-process round trip: a decode failure here is a bug, not an
-        // IO hazard.
-        PARMONC_ASSERT(Snapshot.isOk(), "intra-rank snapshot decode failed");
-        const size_t Thread = size_t(Incoming->Source);
-        ThreadLatest[Thread] = std::move(Snapshot).value();
-        ThreadHave[Thread] = true;
-        if (Incoming->Tag == TagFinal)
-          --ThreadFinalsOutstanding;
-      }
-      const int64_t Now = Time.nowNanos();
-      if (Config.PassPeriodNanos == 0 ||
-          Now - LastPassNanos >= Config.PassPeriodNanos) {
-        Local = mergeThreads();
-        if (Local.Moments.sampleVolume() > 0) {
-          sendSubtotal(TagSubtotal);
-          LastPassNanos = Now;
-        }
-      }
-      if (Rank == 0)
-        collectorPoll(Comm, /*ForceSave=*/false);
-    }
-    Workers.join();
-    // Every thread's final partial, merged in thread order: the rank's
-    // definitive subtotal for the epilogue below.
-    Local = mergeThreads();
-    }
-
-    // A crashed collector kills the whole job: nobody finalizes. Forked
-    // workers learn of the death from the abort broadcast.
-    if (Shared.Killed.load(std::memory_order_relaxed) ||
-        Comm.abortRequested())
-      return;
-
-    sendSubtotal(TagFinal);
-
-    if (Rank == 0) {
-      // Keep collecting until every rank's final snapshot has arrived, or
-      // — with a worker deadline configured — until the silence lasts long
-      // enough to declare the stragglers dead and finish degraded over the
-      // survivors (still a correct eq. 5 average, just over fewer ranks).
-      int64_t LastProgressNanos = Time.nowNanos();
-      while (Collector.FinalsOutstanding > 0 &&
-             !Shared.Killed.load(std::memory_order_relaxed)) {
-        if (std::optional<Message> Incoming =
-                Comm.receiveWait(-1, /*TimeoutNanos=*/2'000'000, &Time)) {
-          handleMessage(*Incoming);
-          LastProgressNanos = Time.nowNanos();
-        } else if (Config.WorkerDeadlineNanos > 0 &&
-                   Time.nowNanos() - LastProgressNanos >=
-                       Config.WorkerDeadlineNanos) {
-          for (int Straggler = 0; Straggler < RankCount; ++Straggler) {
-            if (Collector.FinalReceived[size_t(Straggler)])
-              continue;
-            Collector.FinalReceived[size_t(Straggler)] = true;
-            --Collector.FinalsOutstanding;
-            Collector.DeadWorkers.push_back(Straggler);
-            DeadWorkersCounter.add();
-            if (Trace)
-              Trace->instantAt("runner.dead_worker", Straggler,
-                               Time.nowNanos());
-            Comm.markDead(Straggler);
-          }
-        }
-        // Periodic save-points continue while stragglers finish.
-        const int64_t Now = Time.nowNanos();
-        if (Config.AveragePeriodNanos > 0 &&
-            Now - Collector.LastSaveNanos >= Config.AveragePeriodNanos)
-          savePoint(Now);
-      }
-      if (Shared.Killed.load(std::memory_order_relaxed))
-        return;
-      savePoint(Time.nowNanos(), /*IsFinal=*/true); // covers everything
-      if (Shared.Killed.load(std::memory_order_relaxed))
-        return;
-
-      const MomentSnapshot Merged = Collector.mergeAll(Base);
-      const RunLogInfo Log = buildLog(Merged, Time.nowNanos());
-      Report.TotalSampleVolume = Log.TotalSampleVolume;
-      Report.NewSampleVolume = Log.NewSampleVolume;
-      Report.MeanRealizationSeconds = Log.MeanRealizationSeconds;
-      Report.ElapsedSeconds = Log.ElapsedSeconds;
-      Report.MaxAbsoluteError = Log.MaxAbsoluteError;
-      Report.MaxRelativeErrorPercent = Log.MaxRelativeErrorPercent;
-      Report.MaxVariance = Log.MaxVariance;
-      Report.StoppedOnErrorTarget =
-          Shared.StoppedOnErrorTarget.load(std::memory_order_relaxed);
-      Report.StoppedOnTimeLimit =
-          Shared.StoppedOnTimeLimit.load(std::memory_order_relaxed);
-      Report.PerProcessorVolumes.clear();
-      for (size_t RankIndex = 0; RankIndex < size_t(RankCount); ++RankIndex)
-        Report.PerProcessorVolumes.push_back(
-            Collector.HaveSnapshot[RankIndex]
-                ? Collector.LatestFromRank[RankIndex].Moments.sampleVolume()
-                : 0);
-    }
-  };
-
-  EngineOptions Hosting;
-  Hosting.Metrics = &Registry;
-  if (Injector) {
-    // The transports know nothing of fault policy: adapt the injector's
-    // verdicts onto the mpsim hook type here. Both backends consult the
-    // hook at the same protocol points, so a deterministic plan replays
-    // the same per-source fault sequence over threads and sockets.
-    Hosting.FaultHook = [Injector](int Source, int Destination, int Tag) {
-      const fault::MessageDecision Decision =
-          Injector->onSendAttempt(Source, Destination, Tag);
-      SendFault Verdict;
-      switch (Decision.Action) {
-      case fault::MessageAction::Deliver:
-        Verdict.Act = SendFault::Action::Deliver;
-        break;
-      case fault::MessageAction::Drop:
-        Verdict.Act = SendFault::Action::Drop;
-        break;
-      case fault::MessageAction::Duplicate:
-        Verdict.Act = SendFault::Action::Duplicate;
-        break;
-      case fault::MessageAction::Delay:
-        Verdict.Act = SendFault::Action::Delay;
-        Verdict.DelayNanos = Decision.DelayNanos;
-        break;
-      case fault::MessageAction::FailSend:
-        Verdict.Act = SendFault::Action::Fail;
-        break;
-      }
-      return Verdict;
-    };
-    Hosting.FaultClock = &Time;
-  }
-  Result<EngineReport> Hosted =
-      runEngine(Config.Transport, RankCount, body, Hosting);
-
-  // Wind the background checkpoint writer down on every path. A simulated
-  // collector death abandons the queue — whatever was still queued is
-  // lost, exactly as a SIGKILL would lose it — while a normal finish
-  // drains it and surfaces the first commit error.
-  if (AsyncWriter) {
-    if (Shared.Killed.load(std::memory_order_relaxed)) {
-      AsyncWriter->abandon();
-    } else if (Status Stopped = AsyncWriter->stop();
-               !Stopped && CollectorFailure.isOk()) {
-      CollectorFailure = Stopped;
-    }
-    Report.CoalescedCheckpoints = AsyncWriter->coalescedCount();
-  }
-
+  Result<EngineReport> Hosted = runEngine(
+      Config.Transport, Config.ProcessorCount,
+      [&](Communicator &Comm) {
+        RankRunner(Run, Comm, Comm.rank() == 0 ? &Root : nullptr).run();
+      },
+      hostingOptions(Registry, Injector, Time));
+  Root.windDown();
   if (!Hosted)
     return Hosted.status();
   const EngineReport &Fleet = Hosted.value();
 
-  // Filled here rather than in the rank-0 epilogue so a run killed by an
-  // injected crash still reports how many saves landed before it died.
-  // Stop flags and failed-send counts OR/sum in the engine's view: forked
-  // workers report over the wire what thread ranks wrote into Shared.
-  Report.SavePointCount = Collector.SavePointCount;
-  Report.FailedSends = Shared.FailedSends.load(std::memory_order_relaxed) +
+  // The collector's report holds what a killed run still knows (save
+  // points, dead workers). Stop flags and failed-send counts OR/sum in the
+  // engine's view: forked workers report over the wire what thread ranks
+  // wrote into Shared.
+  RunReport Report = std::move(Root.Report);
+  Report.FailedSends = Run.Shared.FailedSends.load(std::memory_order_relaxed) +
                        Fleet.ChildFailedSends;
   Report.StoppedOnTimeLimit |= Fleet.StopOnTimeLimit;
   Report.StoppedOnErrorTarget |= Fleet.StopOnErrorTarget;
   Report.ProcessRanks = Fleet.Ranks;
-  Report.DeadWorkers = Collector.DeadWorkers;
   std::sort(Report.DeadWorkers.begin(), Report.DeadWorkers.end());
   Report.Degraded = !Report.DeadWorkers.empty() || Report.FailedSends > 0;
-  Report.SimulatedCrash = Shared.Killed.load(std::memory_order_relaxed);
-  Report.ResumedFromBackup = ResumedFromBackup;
-  Report.RestoredFromShards = RestoredFromShards;
+  Report.SimulatedCrash = Run.Shared.Killed.load(std::memory_order_relaxed);
   Report.RngBackendName = rngBackendName(Config.RngBackend);
 
   Registry.gauge("runner.elapsed_seconds").set(Report.ElapsedSeconds);
   Report.Metrics = Registry.snapshot();
-  if (Status Written = writeFileAtomic(Store.metricsPath(),
-                                       Report.Metrics.toFileContents());
-      !Written && CollectorFailure.isOk())
-    CollectorFailure = Written;
+  Root.fail(writeFileAtomic(Store.metricsPath(),
+                            Report.Metrics.toFileContents()));
   if (Trace)
-    if (Status Written = writeFileAtomic(Store.tracePath(), Trace->toJson());
-        !Written && CollectorFailure.isOk())
-      CollectorFailure = Written;
-
-  if (!CollectorFailure.isOk())
-    return CollectorFailure;
+    Root.fail(writeFileAtomic(Store.tracePath(), Trace->toJson()));
+  if (!Root.Failure.isOk())
+    return Root.Failure;
   return Report;
 }
 

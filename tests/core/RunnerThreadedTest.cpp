@@ -16,12 +16,15 @@
 #include "parmonc/core/Runner.h"
 
 #include "parmonc/fault/FaultPlan.h"
+#include "parmonc/support/Text.h"
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <string>
+#include <thread> // mclint: allow(R8): sleep helper only
 #include <vector>
 
 namespace parmonc {
@@ -193,6 +196,89 @@ TEST(RunnerThreaded, MoreThreadsThanQuotaStillCompletes) {
   RunReport Report;
   (void)runAndLoad(Config, &Report);
   EXPECT_EQ(Report.TotalSampleVolume, 3);
+}
+
+/// Real-valued 1x2 realization: sums of these are order-sensitive in
+/// floating point, so byte-equal results prove an identical merge order.
+void uniformRealization(RandomSource &Source, double *Out) {
+  Out[0] = Source.nextUniform();
+  Out[1] = Out[0] * Source.nextUniform();
+}
+
+std::string fileBytes(const std::string &Path) {
+  Result<std::string> Bytes = readFileToString(Path);
+  EXPECT_TRUE(Bytes.isOk()) << Path << ": " << Bytes.status().toString();
+  return Bytes.valueOr("");
+}
+
+TEST(RunnerThreaded, HistogramFilesMatchSerialByteForByte) {
+  ScratchDir SerialDir("hist1"), ThreadedDir("hist4");
+  const std::vector<HistogramSpec> Specs = {{0, 0, 0.0, 2.0, 2},
+                                            {0, 1, 0.0, 16.0, 16}};
+  for (const auto &[Dir, Threads] :
+       {std::pair{&SerialDir, 1}, std::pair{&ThreadedDir, 4}}) {
+    RunConfig Config = threadedConfig(Dir->path(), Threads);
+    Config.Histograms = Specs;
+    (void)runAndLoad(Config, nullptr);
+  }
+  const ResultsStore Serial(SerialDir.path()), Threaded(ThreadedDir.path());
+  for (const HistogramSpec &Spec : Specs) {
+    const std::string Expected =
+        fileBytes(histogramPath(Serial, Spec.Row, Spec.Column));
+    EXPECT_FALSE(Expected.empty());
+    EXPECT_EQ(fileBytes(histogramPath(Threaded, Spec.Row, Spec.Column)),
+              Expected)
+        << "histogram of entry (" << Spec.Row << ", " << Spec.Column << ")";
+  }
+}
+
+TEST(RunnerThreaded, TimeLimitStopsAnUnreachableVolume) {
+  ScratchDir Dir("timelimit");
+  RunConfig Config = threadedConfig(Dir.path(), 4);
+  Config.MaxSampleVolume = int64_t(1) << 50;
+  Config.TimeLimitNanos = 50'000'000;
+  RunReport Report;
+  (void)runAndLoad(Config, &Report);
+  EXPECT_TRUE(Report.StoppedOnTimeLimit);
+  EXPECT_GT(Report.TotalSampleVolume, 0);
+  EXPECT_LT(Report.TotalSampleVolume, Config.MaxSampleVolume);
+}
+
+TEST(RunnerThreaded, ProcessTransportMatchesThreadTransportByteForByte) {
+  ScratchDir ThreadsDir("fabric"), ProcessesDir("procs");
+  RunConfig Config = threadedConfig(ThreadsDir.path(), 2);
+  ASSERT_TRUE(runSimulation(uniformRealization, Config).isOk());
+  Config.WorkDir = ProcessesDir.path();
+  Config.Transport = TransportKind::Processes;
+  Result<RunReport> Wire = runSimulation(uniformRealization, Config);
+  ASSERT_TRUE(Wire.isOk()) << Wire.status().toString();
+  EXPECT_EQ(Wire.value().TotalSampleVolume, Config.MaxSampleVolume);
+  const std::string Expected =
+      fileBytes(ResultsStore(ThreadsDir.path()).meansPath());
+  EXPECT_FALSE(Expected.empty());
+  EXPECT_EQ(fileBytes(ResultsStore(ProcessesDir.path()).meansPath()),
+            Expected);
+}
+
+TEST(RunnerThreaded, IdleRankSendsNoRepeatedSubtotals) {
+  // A slow body leaves the rank thread waking idle many times per
+  // realization; only a new thread partial may trigger a subtotal send.
+  ScratchDir Dir("idle");
+  RunConfig Config = threadedConfig(Dir.path(), 2);
+  Config.ProcessorCount = 1;
+  Config.MaxSampleVolume = 10;
+  Config.PassPeriodNanos = 0;
+  auto SlowRealization = [](RandomSource &Source, double *Out) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    integerRealization(Source, Out);
+  };
+  Result<RunReport> Outcome = runSimulation(SlowRealization, Config);
+  ASSERT_TRUE(Outcome.isOk()) << Outcome.status().toString();
+  const int64_t *Sent =
+      Outcome.value().Metrics.counterValue("runner.subtotals_sent");
+  ASSERT_NE(Sent, nullptr);
+  EXPECT_LE(*Sent, Config.MaxSampleVolume + Config.WorkerThreadsPerRank + 1);
+  EXPECT_EQ(Outcome.value().TotalSampleVolume, Config.MaxSampleVolume);
 }
 
 } // namespace
