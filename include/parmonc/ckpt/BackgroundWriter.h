@@ -17,7 +17,7 @@
 ///
 /// Concurrency is message-passing only: a work mailbox in, a result
 /// mailbox out (the blessed mpsim primitives — no raw threads, mutexes or
-/// atomics in this module, per lint rule R3). All public methods belong to
+/// atomics in this module, per lint rule R8). All public methods belong to
 /// the single owner thread.
 ///
 //===----------------------------------------------------------------------===//

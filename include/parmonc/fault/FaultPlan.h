@@ -28,7 +28,7 @@
 #include "parmonc/support/Clock.h"
 #include "parmonc/support/Status.h"
 
-// mclint: allow-file(R3): the injector sits behind hooks called
+// mclint: allow-file(R8): the injector sits behind hooks called
 // concurrently from every rank (sends, file writes); its per-source send
 // indices and corruption counters are the reviewed synchronization seam.
 #include <cstdint>

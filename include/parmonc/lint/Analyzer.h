@@ -41,7 +41,7 @@ struct AnalyzerOptions {
   /// of deliberate violations and are linted by naming them as a root.
   std::vector<std::string> Paths;
 
-  /// Rule ids or names to run ("R1".."R13", "stream-discipline");
+  /// Rule ids or names to run ("R2".."R16", "stream-discipline");
   /// empty means all rules.
   std::vector<std::string> RuleIds;
 

@@ -8,7 +8,7 @@
 /// The finding type produced by mclint rules and its rendering. One
 /// diagnostic pins one rule violation to a file and line; the textual form
 ///
-///   <path>:<line>: warning: <message> [R3:raw-concurrency]
+///   <path>:<line>: warning: <message> [R8:mailbox-discipline]
 ///
 /// is byte-stable so the lint test fixtures can assert exact output and CI
 /// logs stay greppable.
@@ -67,8 +67,8 @@ struct Diagnostic {
 
   std::string Path;   ///< File path as given to the analyzer.
   unsigned Line = 0;  ///< 1-based line number.
-  std::string RuleId; ///< "R1".."R13".
-  std::string RuleName; ///< e.g. "discarded-status".
+  std::string RuleId; ///< "R2".."R16", as makeAllRules() registers them.
+  std::string RuleName; ///< e.g. "must-check".
   std::string Message;  ///< Human-readable explanation.
   std::vector<FixIt> Fixes; ///< Optional autofix (R4, R10).
   /// Witness path for flow-sensitive findings (R11-R13), rendered as a

@@ -14,7 +14,7 @@
 /// What the facts capture:
 ///   - the include list (for R4 and the R9 include-cycle/layering checks),
 ///   - [[nodiscard]] declarations and heuristic function definitions (the
-///     fallible-API and taint sets for R1 and R8),
+///     fallible-API and taint sets for R11 and R8),
 ///   - call edges into the fallible-API set (R7's snapshot-load analysis),
 ///   - raw-synchronization usage (the R8 taint source),
 ///   - which files construct Lcg128 / StreamHierarchy / RealizationCursor
@@ -148,12 +148,6 @@ struct LintContext {
   /// Functions also defined in some synchronization-free file; an
   /// ambiguous name appearing in both sets is silenced.
   std::set<std::string, std::less<>> CleanFunctions;
-  /// True when the flow-sensitive rules (R11-R13) are part of this run.
-  /// R1 consults it to demote itself to declarations-only territory:
-  /// inside analyzable function bodies the path-sensitive R11 supersedes
-  /// the token-level heuristic, and double-reporting would force users to
-  /// waive the same line twice.
-  bool FlowRulesActive = false;
   /// The project-wide function summaries (null when the interprocedural
   /// stage did not run). The interprocedural rules (R14-R16) consult this
   /// to follow call chains across translation units; the per-file

@@ -9,15 +9,12 @@
 /// way a Monte Carlo run can go silently wrong (see DESIGN.md, "Enforced
 /// invariants", and docs/LINT_RULES.md for rationale and examples):
 ///
-///   R1  discarded-status     — no fallible call may drop its Status/Result;
-///                              a swallowed save-point failure corrupts the
-///                              eq. (5) merged results undetectably.
 ///   R2  nondeterminism       — no wall-clock/entropy sources outside the
 ///                              support/Clock.h seam; reproducibility of the
-///                              §2.4 stream hierarchy depends on it.
-///   R3  raw-concurrency      — thread/mutex/atomic primitives only inside
-///                              mpsim/, obs/ and core/ (where R8 applies the
-///                              stricter mailbox-discipline check instead).
+///                              §2.4 stream hierarchy depends on it. The
+///                              names are the wall-clock and entropy rows
+///                              of the source table R14 follows
+///                              (directTaintSources() in Summary.h).
 ///   R4  include-hygiene      — canonical PARMONC_* header guards, quoted
 ///                              includes only for project headers, no
 ///                              <bits/...>, no using-namespace in headers.
@@ -29,24 +26,27 @@
 ///                              eq. (8) leap partition is never bypassed.
 ///   R7  unchecked-snapshot   — a sealed-checkpoint load must reach the
 ///                              readSnapshotWithFallback/".prev" path.
-///   R8  mailbox-discipline   — core/ must not use raw std:: synchronization
-///                              directly nor call functions that do; all
+///   R8  mailbox-discipline   — raw std:: synchronization only inside
+///                              mpsim/, obs/ and support/Clock.h, socket I/O
+///                              only inside mpsim/, and core/ must not call
+///                              functions that use raw sync either; all
 ///                              cross-thread state flows through
 ///                              mpsim::Mailbox / WorkerGroup.
 ///   R9  include-layering     — no include cycles, no upward layer includes
 ///                              (e.g. rng/ including core/).
 ///   R10 stale-waiver         — a waiver whose rule no longer fires on its
-///                              lines is itself a diagnostic.
+///                              lines, or that names no rule, is itself a
+///                              diagnostic.
 ///
 /// The flow-sensitive rules run a forward dataflow over per-function CFGs
 /// (Cfg.h, Dataflow.h) and attach step-by-step witness paths to their
 /// findings (SARIF code flows):
 ///
-///   R11 must-check           — a Status/Result local must be consumed on
-///                              every path before scope exit; inside
-///                              analyzable bodies it supersedes R1, which
-///                              stands down there (see
-///                              LintContext::FlowRulesActive).
+///   R11 must-check           — no fallible call may drop its Status/Result,
+///                              and a Status/Result local must be consumed
+///                              on every path before scope exit; a
+///                              swallowed save-point failure corrupts the
+///                              eq. (5) merged results undetectably.
 ///   R12 stream-lifecycle     — a stream handle must not be copied, escape
 ///                              by reference into a lambda, or be touched
 ///                              after std::move handoff to a worker.
@@ -105,10 +105,10 @@ class Rule {
 public:
   virtual ~Rule() = default;
 
-  /// Stable identifier, "R1".."R16".
+  /// Stable identifier, "R2".."R16".
   virtual std::string_view id() const = 0;
 
-  /// Short kebab-case name, e.g. "discarded-status".
+  /// Short kebab-case name, e.g. "must-check".
   virtual std::string_view name() const = 0;
 
   /// One-line description for `mclint --list-rules`.
@@ -162,7 +162,7 @@ std::unique_ptr<Rule> makeDeterminismTaintRule(); ///< R14
 std::unique_ptr<Rule> makeLockDisciplineRule();   ///< R15
 std::unique_ptr<Rule> makeDeepMustCheckRule();    ///< R16
 
-/// The project's fallible APIs that R1 knows about even when their headers
+/// The project's fallible APIs that R11 knows about even when their headers
 /// are outside the scanned roots.
 std::set<std::string, std::less<>> builtinFallibleFunctions();
 
@@ -174,11 +174,11 @@ void harvestNodiscardFunctions(const SourceFile &File,
 /// Returns the offset of the first such occurrence, or npos.
 size_t findWordToken(std::string_view Text, std::string_view Token);
 
-/// The std:: synchronization type names R3/R8 ban and the project index
+/// The std:: synchronization type names R8 bans and the project index
 /// uses as its taint evidence.
 const std::vector<std::string_view> &rawConcurrencyTypeNeedles();
 
-/// The concurrency headers R3/R8 ban (`<thread>`, `<mutex>`, ...).
+/// The concurrency headers R8 bans (`<thread>`, `<mutex>`, ...).
 const std::vector<std::string_view> &rawConcurrencyIncludeNeedles();
 
 /// The raw socket identifiers R8 bans outside mpsim/ (`socketpair`,

@@ -13,10 +13,10 @@
 /// `std::thread` in a comment or a string never triggers a rule, and the
 /// token stream itself for the project index and token-level rules.
 ///
-/// Waivers: a comment containing `mclint: allow(Rn)` suppresses the named
-/// rule(s) on the lines the comment spans — or on the next line when the
-/// comment stands alone — and `mclint: allow-file(Rn)` suppresses them for
-/// the whole file. Because waivers are parsed from comment tokens only, a
+/// Waivers: a comment holding an `allow(Rn)` directive after the `mclint:`
+/// marker suppresses the named rule(s) on the lines the comment spans — or
+/// on the next line when the comment stands alone — and an `allow-file(Rn)`
+/// directive suppresses them for the whole file. Because waivers are parsed from comment tokens only, a
 /// waiver-shaped string inside a raw string literal is never honored, and
 /// a line comment continued with a backslash splice is honored once for
 /// its whole physical extent. Waivers are the escape hatch for reviewed
@@ -40,10 +40,10 @@ namespace parmonc {
 namespace lint {
 
 /// One parsed waiver directive entry. A directive naming several rules
-/// (`allow(R2,R3)`) produces one Waiver per rule id, sharing a
+/// (`allow(R2,R8)`) produces one Waiver per rule id, sharing a
 /// DirectiveIndex so autofix can tell when removing the comment is safe.
 struct Waiver {
-  /// The rule id this entry suppresses, e.g. "R3".
+  /// The rule id this entry suppresses, e.g. "R8".
   std::string RuleId;
   /// 0-based ordinal of the directive comment within the file, shared by
   /// entries parsed from the same comment.

@@ -65,10 +65,26 @@ enum class SinkKind : uint8_t {
 /// Human-readable label for a sink kind ("estimator accumulation", ...).
 std::string_view sinkKindLabel(SinkKind Kind);
 
+/// One direct nondeterminism source: a C library call (`time`, `rand`,
+/// `getenv`, ...) or a std type (`std::random_device`, ...).
+struct DirectTaintSource {
+  std::string_view Spelling; ///< The call name, or the qualified type name.
+  TaintKind Kind;
+  bool IsType;
+};
+
+/// The one table of direct sources. The evidence extractor and R14's
+/// in-body argument matching look names up in it token by token; R2 bans
+/// its wall-clock and entropy rows line by line.
+const std::vector<DirectTaintSource> &directTaintSources();
+
 /// True when \p Name is a direct determinism-taint call (time, rand,
-/// getenv, ...); sets \p Kind. Shared by the evidence extractor and R14's
-/// in-body argument matching.
+/// getenv, ...); sets \p Kind.
 bool taintCallName(std::string_view Name, TaintKind &Kind);
+
+/// True when \p Name is the last `::` component of a source type
+/// (random_device, system_clock, ...); sets \p Kind.
+bool taintTypeName(std::string_view Name, TaintKind &Kind);
 
 /// True when \p Name is a determinism-critical sink callee (accumulate,
 /// writeSnapshot, appendExperimentLog, ...); sets \p Kind.

@@ -40,7 +40,7 @@ const char *statusCodeName(StatusCode Code);
 /// A success/failure value with an optional diagnostic message. The type is
 /// [[nodiscard]]: a fallible call whose Status is dropped is a correctness
 /// bug (a failed save-point or merge would silently corrupt results), so
-/// the compiler — and mclint rule R1 — reject it. Deliberate discards must
+/// the compiler — and mclint rule R11 — reject it. Deliberate discards must
 /// be spelled `(void)call(...)`.
 class [[nodiscard]] Status {
 public:

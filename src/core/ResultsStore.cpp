@@ -671,27 +671,17 @@ Result<MomentSnapshot> runManualAverage(const ResultsStore &Store,
       RecoveredPaths->push_back(Path);
     const MomentSnapshot &Part = Recovered.value().Snapshot;
     if (!HaveShape) {
+      // No base.dat: the first subtotal defines the shape and the
+      // histogram set, merged into empty ones like every later subtotal.
       Merged.Moments =
           EstimatorMatrix(Part.Moments.rows(), Part.Moments.columns());
-      Merged.SequenceNumber = Part.SequenceNumber;
+      Merged.Histograms = Part.Histograms;
+      for (HistogramEstimator &Histogram : Merged.Histograms)
+        Histogram.reset();
       HaveShape = true;
     }
-    if (Status MergedOk = Merged.Moments.merge(Part.Moments); !MergedOk)
+    if (Status MergedOk = Merged.mergeFrom(Part); !MergedOk)
       return MergedOk;
-    if (Merged.Histograms.empty() && !Part.Histograms.empty() &&
-        Merged.Moments.sampleVolume() == Part.Moments.sampleVolume())
-      // First contribution defines the histogram set (no base file case).
-      Merged.Histograms = Part.Histograms;
-    else if (Part.Histograms.size() != Merged.Histograms.size())
-      return failedPrecondition(
-          "subtotal files disagree on histogram observables");
-    else
-      for (size_t Index = 0; Index < Merged.Histograms.size(); ++Index)
-        if (Status HistogramOk =
-                Merged.Histograms[Index].merge(Part.Histograms[Index]);
-            !HistogramOk)
-          return HistogramOk;
-    Merged.ComputeSeconds += Part.ComputeSeconds;
     Merged.SequenceNumber = Part.SequenceNumber;
   }
 

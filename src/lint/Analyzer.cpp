@@ -28,12 +28,12 @@
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
-#include <atomic>   // mclint: allow(R3): the --jobs worker pool lives here
+#include <atomic>   // mclint: allow(R8): the --jobs worker pool lives here
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
-#include <thread>   // mclint: allow(R3): the --jobs worker pool lives here
+#include <thread>   // mclint: allow(R8): the --jobs worker pool lives here
 
 namespace parmonc {
 namespace lint {
@@ -182,31 +182,36 @@ void filterThroughWaivers(FileState &File, std::vector<Diagnostic> &Diags) {
 }
 
 /// The stale-waiver (R10) synthesis: one finding per waiver directive
-/// whose every audited rule id suppressed nothing this run. Waivers for
-/// rules outside the active set are not audited (they could not have
-/// fired), and allow(R10) itself is exempt — it only filters.
+/// whose every audited rule id suppressed nothing this run, and one per
+/// directive naming an id no rule has (it can never suppress anything).
+/// Waivers for known rules outside the active set are not audited (they
+/// could not have fired), and allow(R10) itself is exempt — it only
+/// filters.
 void synthesizeStaleWaiverDiags(
     FileState &File, const std::set<std::string, std::less<>> &ActiveIds,
-    bool ComputeFixes, std::vector<Diagnostic> &Out) {
+    const std::set<std::string, std::less<>> &KnownIds, bool ComputeFixes,
+    std::vector<Diagnostic> &Out) {
   const std::vector<Waiver> &Waivers = File.Facts.Waivers;
   std::map<uint32_t, std::vector<size_t>> Groups; // directive -> waivers
   for (size_t I = 0; I < Waivers.size(); ++I)
     Groups[Waivers[I].DirectiveIndex].push_back(I);
+  const auto Append = [](std::string &List, const std::string &Id) {
+    if (!List.empty())
+      List += ",";
+    List += Id;
+  };
   for (const auto &[Directive, Members] : Groups) {
     bool AllStale = true;
-    std::string RuleList;
+    std::string RuleList, Unknown;
     for (size_t I : Members) {
-      const Waiver &W = Waivers[I];
-      if (W.RuleId == "R10" || !ActiveIds.count(W.RuleId) ||
-          File.WaiverUsed[I]) {
+      const std::string &Id = Waivers[I].RuleId;
+      Append(RuleList, Id);
+      if (!KnownIds.count(Id))
+        Append(Unknown, Id);
+      else if (Id == "R10" || !ActiveIds.count(Id) || File.WaiverUsed[I])
         AllStale = false;
-        break;
-      }
-      if (!RuleList.empty())
-        RuleList += ",";
-      RuleList += W.RuleId;
     }
-    if (!AllStale || Members.empty())
+    if (!AllStale && Unknown.empty())
       continue;
     const Waiver &First = Waivers[Members.front()];
     Diagnostic Diag;
@@ -216,10 +221,13 @@ void synthesizeStaleWaiverDiags(
     Diag.RuleName = "stale-waiver";
     Diag.Message = "waiver 'allow" +
                    std::string(First.FileScope ? "-file" : "") + "(" +
-                   RuleList +
-                   ")' suppresses no finding; the covered code is "
-                   "clean — remove the directive";
-    if (ComputeFixes) {
+                   RuleList + ")' " +
+                   (Unknown.empty()
+                        ? "suppresses no finding; the covered code is "
+                          "clean — remove the directive"
+                        : "names no mclint rule (" + Unknown +
+                              "); waive a current rule id or remove it");
+    if (ComputeFixes && AllStale) {
       if (First.Standalone) {
         // The comment is the whole line (possibly several): delete them.
         for (uint32_t Line = First.DirectiveLine;
@@ -265,7 +273,9 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
       Active.push_back(Found);
     }
   }
-  std::set<std::string, std::less<>> ActiveIds;
+  std::set<std::string, std::less<>> ActiveIds, KnownIds;
+  for (const auto &RulePtr : AllRules)
+    KnownIds.insert(std::string(RulePtr->id()));
   std::vector<std::string> ActiveIdList;
   for (const Rule *ActiveRule : Active)
     if (ActiveIds.insert(std::string(ActiveRule->id())).second)
@@ -296,13 +306,13 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
         Body(I);
       return;
     }
-    std::atomic<size_t> NextIndex{0}; // mclint: allow(R3): worker pool
+    std::atomic<size_t> NextIndex{0}; // mclint: allow(R8): worker pool
     const auto Work = [&] {
       for (size_t I = NextIndex.fetch_add(1); I < Files.size();
            I = NextIndex.fetch_add(1))
         Body(I);
     };
-    std::vector<std::thread> Workers; // mclint: allow(R3): worker pool
+    std::vector<std::thread> Workers; // mclint: allow(R8): worker pool
     const unsigned Spawned =
         std::min<unsigned>(Jobs, static_cast<unsigned>(Files.size())) - 1;
     for (unsigned T = 0; T < Spawned; ++T)
@@ -352,9 +362,6 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
     Index.add(File.Path, File.Facts);
   LintContext Context;
   populateContextFromIndex(Index, Context);
-  // R1 stands down inside bodies the dataflow stage covers — but only
-  // when R11 is actually part of this run.
-  Context.FlowRulesActive = ActiveIds.count("R11") != 0;
   const uint32_t ContextCrc = contextFingerprint(ConfigStamp, Context);
 
   // The interprocedural stage: call graph and bottom-up summaries, built
@@ -437,8 +444,8 @@ Result<LintReport> runAnalyzer(const AnalyzerOptions &Options) {
   if (ActiveIds.count("R10")) {
     std::vector<Diagnostic> StaleDiags;
     for (FileState &File : Files)
-      synthesizeStaleWaiverDiags(File, ActiveIds, Options.ComputeFixes,
-                                 StaleDiags);
+      synthesizeStaleWaiverDiags(File, ActiveIds, KnownIds,
+                                 Options.ComputeFixes, StaleDiags);
     StaleDiags.erase(
         std::remove_if(StaleDiags.begin(), StaleDiags.end(),
                        [&](const Diagnostic &Diag) {

@@ -122,41 +122,6 @@ size_t applyBaseline(std::vector<BaselineEntry> Entries,
                                return true;
                              }),
               Diags.end());
-  // Migration alias: R11 (flow-sensitive must-check) supersedes R1 inside
-  // function bodies, so old baselines carry R1 entries for lines that now
-  // report as R11. Any R1 budget left after the exact pass is honored for
-  // R11 findings at the same line; regenerating the baseline rewrites the
-  // entries under R11 and retires the alias naturally.
-  Diags.erase(std::remove_if(Diags.begin(), Diags.end(),
-                             [&](const Diagnostic &Diag) {
-                               if (Diag.RuleId != "R11")
-                                 return false;
-                               const auto It = Budget.find(keyOf(
-                                   "R1", Diag.Path,
-                                   lineCrcFor(Diag, LineTextOf)));
-                               if (It == Budget.end() || It->second == 0)
-                                 return false;
-                               --It->second;
-                               return true;
-                             }),
-              Diags.end());
-  // Same migration story one layer up: R16 (interprocedural must-check)
-  // claims bare calls R11 used to report when the callee was later found
-  // fallible only through its summary. Leftover R11 budget is honored for
-  // R16 findings at the same line.
-  Diags.erase(std::remove_if(Diags.begin(), Diags.end(),
-                             [&](const Diagnostic &Diag) {
-                               if (Diag.RuleId != "R16")
-                                 return false;
-                               const auto It = Budget.find(keyOf(
-                                   "R11", Diag.Path,
-                                   lineCrcFor(Diag, LineTextOf)));
-                               if (It == Budget.end() || It->second == 0)
-                                 return false;
-                               --It->second;
-                               return true;
-                             }),
-              Diags.end());
   return Before - Diags.size();
 }
 

@@ -225,7 +225,7 @@ void LintCache::update(std::string FilePath, CacheEntry Entry) {
 }
 
 std::string cacheConfigStamp(const std::vector<std::string> &ActiveRuleIds) {
-  std::string Stamp = "config engine=4 cfg=1 rules=";
+  std::string Stamp = "config engine=5 cfg=1 rules=";
   for (size_t I = 0; I < ActiveRuleIds.size(); ++I) {
     if (I)
       Stamp.push_back(',');

@@ -9,8 +9,8 @@
 // step-by-step witness path that SARIF renders as a code flow.
 //
 //   R11 must-check       — a Status/Result value must be consumed on every
-//                          path before scope exit; inside analyzable
-//                          bodies it supersedes the token-level R1.
+//                          path before scope exit, and a fallible call's
+//                          result must not be discarded outright.
 //   R12 stream-lifecycle — a StreamHierarchy/realization-stream handle
 //                          must not be copied, escape by reference into a
 //                          lambda, or be used after std::move handoff.
@@ -19,9 +19,10 @@
 //                          Hello) and FrameDecoder results are checked
 //                          before their value is consumed.
 //
-// All three skip functions the CFG builder could not model soundly
-// (goto, preprocessor directives in the body): a missed finding is
-// acceptable, a finding on a path that cannot execute is not.
+// All three skip the dataflow for functions the CFG builder could not
+// model soundly (goto, preprocessor directives in the body): a missed
+// finding is acceptable, a finding on a path that cannot execute is not.
+// R11's discarded-call check needs no paths, so it runs on those too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -316,23 +317,29 @@ public:
   std::string_view id() const override { return "R11"; }
   std::string_view name() const override { return "must-check"; }
   std::string_view summary() const override {
-    return "Status/Result values must be consumed on every path to scope "
+    return "fallible calls must not discard their Status/Result, and "
+           "Status/Result values must be consumed on every path to scope "
            "exit";
   }
   std::string_view rationale() const override {
-    return "R1 sees one statement at a time, so a Status that is stored "
-           "and then forgotten on just one branch slips through: the happy "
-           "path checks it, the early return does not, and a save-point "
-           "failure on that path is absorbed exactly like a discarded "
-           "call. This rule runs a forward dataflow over the function CFG "
-           "— live values win at merge points — and flags any "
-           "Status/Result local still unconsumed when some path reaches "
-           "the end of the function. Inside bodies it can analyze, it "
-           "also takes over R1's discarded-call check, so each violation "
-           "is reported exactly once, with the witness path attached.";
+    return "Every fallible API returns Status/Result and is declared "
+           "[[nodiscard]]. A discarded return is a save-point or I/O "
+           "failure the run silently absorbs: the eq. (5) merged averages "
+           "keep flowing with corrupted or missing subtotals and no crash "
+           "ever points at the cause. The rule flags a bare call into the "
+           "fallible-API set whose result is neither consumed nor cast "
+           "away with (void), in every function body. A Status that is "
+           "stored and then forgotten on just one branch is the same bug: "
+           "the happy path checks it, the early return does not. So the "
+           "rule also runs a forward dataflow over the function CFG — live "
+           "values win at merge points — and flags any Status/Result local "
+           "still unconsumed when some path reaches the end of the "
+           "function, with the witness path attached.";
   }
   std::string_view example() const override {
-    return "  Status S = writeSnapshot(Path, State);\n"
+    return "  writeSnapshot(Path, State);       // flagged: discarded\n"
+           "  (void)writeSnapshot(Path, State); // ok: explicit\n"
+           "  Status S = writeSnapshot(Path, State);\n"
            "  if (Verbose) log(S);       // flagged: unchecked when !Verbose\n"
            "  ...\n"
            "  Status S = writeSnapshot(Path, State);\n"
@@ -343,9 +350,9 @@ public:
              std::vector<Diagnostic> &Out) const override {
     const std::vector<Token> &Tokens = File.tokens();
     for (const FunctionCfg &Cfg : File.functions()) {
+      checkDiscards(File, Cfg, Context, Out);
       if (!Cfg.analyzable())
         continue;
-      checkDiscards(File, Cfg, Context, Out);
       std::vector<TrackedVar> Vars = collectVars(Tokens, Cfg, Context);
       if (Vars.empty())
         continue;
@@ -423,9 +430,7 @@ private:
     return Vars;
   }
 
-  /// The R1-superseding half: a bare fallible call whose result vanishes.
-  /// Same heuristic as R1, but over statement tokens, so it is reported
-  /// under this rule inside bodies where R1 has stood down.
+  /// The path-free half: a bare fallible call whose result vanishes.
   void checkDiscards(const SourceFile &File, const FunctionCfg &Cfg,
                      const LintContext &Context,
                      std::vector<Diagnostic> &Out) const {

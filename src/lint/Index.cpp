@@ -178,7 +178,7 @@ FileFacts extractFileFacts(const SourceFile &File) {
       Facts.FallibleCalls[T.Text].push_back(T.Line);
   }
 
-  // Raw synchronization: the R3/R8 needle sets over the scrubbed view.
+  // Raw synchronization: the R8 needle sets over the scrubbed view.
   for (size_t Index = 0; Index < File.lineCount() && !Facts.UsesRawSync;
        ++Index) {
     std::string_view Raw = trim(File.rawLine(Index));

@@ -23,7 +23,7 @@
 //                           return are flagged.
 //   R16 deep-must-check   — a Status/Result forwarded up a call chain
 //                           must be consumed by some frame; catches the
-//                           `auto` wrapper R1/R11 cannot see through.
+//                           `auto` wrapper R11 cannot see through.
 //
 // All three stand down when the summary stage did not run (Summaries is
 // null), and all three are precision-first: a missed finding is
@@ -174,18 +174,14 @@ bool findTaintInRange(const std::vector<Token> &Tokens, size_t Begin,
     const Token &T = Tokens[I];
     if (T.Kind != TokenKind::Identifier)
       continue;
-    if (T.Text == "random_device") {
-      Out = {TaintKind::Entropy, std::string(), T.Line, T.Column};
-      return true;
-    }
-    if (T.Text == "system_clock" || T.Text == "high_resolution_clock") {
-      Out = {TaintKind::WallClock, std::string(), T.Line, T.Column};
+    TaintKind Direct;
+    if (taintTypeName(T.Text, Direct)) {
+      Out = {Direct, std::string(), T.Line, T.Column};
       return true;
     }
     const size_t Next = nextCodeTok(Tokens, I, End);
     if (Next >= End || !isPunctTok(Tokens[Next], '('))
       continue;
-    TaintKind Direct;
     if (taintCallName(T.Text, Direct)) {
       Out = {Direct, std::string(), T.Line, T.Column};
       return true;
@@ -630,7 +626,7 @@ public:
            "some frame";
   }
   std::string_view rationale() const override {
-    return "R1 and R11 know a call is fallible from its declaration: the "
+    return "R11 knows a call is fallible from its declaration: the "
            "[[nodiscard]] set and the spelled-out Status/Result types. A "
            "wrapper that forwards a fallible callee's result — `auto "
            "relaySave() { return deepSave(); }` — carries the same "
@@ -640,8 +636,8 @@ public:
            "returns-fallible bottom-up over the call graph (a function is "
            "fallible when it returns one, or forwards one with `return "
            "callee(...);`) and flags expression-statement calls whose "
-           "result no frame consumes. Calls R1/R11 already police are left "
-           "to them, and the witness path walks the forwarding chain down "
+           "result no frame consumes. Calls R11 already polices are left "
+           "to it, and the witness path walks the forwarding chain down "
            "to the declaration that makes it fallible.";
   }
   std::string_view example() const override {
@@ -686,7 +682,7 @@ public:
         const size_t After = nextCodeTok(Tokens, Close, Stmt.TokenEnd);
         if (After < Stmt.TokenEnd && !isPunctTok(Tokens[After], ';'))
           continue;
-        // R1/R11 territory: declared-fallible calls are their findings.
+        // R11 territory: declared-fallible calls are its findings.
         if (Context.NodiscardFunctions.find(Callee) !=
             Context.NodiscardFunctions.end())
           continue;

@@ -19,10 +19,10 @@
 
 #include "parmonc/lint/Rules.h"
 
+#include "parmonc/lint/Summary.h"
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
-#include <array>
 #include <cctype>
 #include <map>
 
@@ -33,117 +33,6 @@ namespace {
 
 bool isIdentChar(char C) {
   return std::isalnum(static_cast<unsigned char>(C)) || C == '_';
-}
-
-/// One reconstructed statement: the scrubbed text joined across lines and
-/// the 0-based line its first token appeared on.
-struct Statement {
-  std::string Text;
-  size_t FirstLine = 0;
-};
-
-/// Splits the scrubbed file into approximate statements. Boundaries are
-/// `;`, `{` and `}` at parenthesis/bracket depth zero; preprocessor lines
-/// are skipped entirely. Good enough to see whether a call's result is
-/// consumed, which is all R1 needs.
-template <typename Callback>
-void forEachStatement(const SourceFile &File, Callback &&OnStatement) {
-  Statement Current;
-  bool HaveToken = false;
-  int Depth = 0;
-  for (size_t LineIndex = 0; LineIndex < File.lineCount(); ++LineIndex) {
-    std::string_view Line = File.scrubbedLine(LineIndex);
-    if (startsWith(trim(Line), "#"))
-      continue; // preprocessor
-    for (char C : Line) {
-      if (C == '(' || C == '[')
-        ++Depth;
-      else if (C == ')' || C == ']')
-        --Depth;
-      if (Depth <= 0 && (C == ';' || C == '{' || C == '}')) {
-        Current.Text.push_back(C);
-        if (HaveToken)
-          OnStatement(static_cast<const Statement &>(Current));
-        Current = Statement{};
-        HaveToken = false;
-        Depth = 0;
-        continue;
-      }
-      if (!HaveToken && !std::isspace(static_cast<unsigned char>(C))) {
-        HaveToken = true;
-        Current.FirstLine = LineIndex;
-      }
-      Current.Text.push_back(C);
-    }
-    Current.Text.push_back(' '); // line break separates tokens
-  }
-}
-
-/// True if the statement contains a top-level `=` that is an assignment
-/// or initialization (not ==, !=, <=, >=).
-bool hasTopLevelAssignment(std::string_view Text) {
-  int Depth = 0;
-  for (size_t I = 0; I < Text.size(); ++I) {
-    const char C = Text[I];
-    if (C == '(' || C == '[')
-      ++Depth;
-    else if (C == ')' || C == ']')
-      --Depth;
-    else if (C == '=' && Depth == 0) {
-      const char Prev = I > 0 ? Text[I - 1] : '\0';
-      const char Next = I + 1 < Text.size() ? Text[I + 1] : '\0';
-      if (Prev != '=' && Prev != '!' && Prev != '<' && Prev != '>' &&
-          Next != '=')
-        return true;
-    }
-  }
-  return false;
-}
-
-/// Keywords that can begin a statement whose leading call is consumed or
-/// is not a call at all.
-bool startsWithStatementKeyword(std::string_view Text) {
-  static constexpr std::array<std::string_view, 18> Keywords = {
-      "return",   "if",       "while",    "for",     "switch",
-      "else",     "do",       "case",     "goto",    "co_return",
-      "co_yield", "co_await", "throw",    "using",   "typedef",
-      "template", "delete",   "static_assert"};
-  for (std::string_view Keyword : Keywords)
-    if (startsWith(Text, Keyword) &&
-        (Text.size() == Keyword.size() ||
-         !isIdentChar(Text[Keyword.size()])))
-      return true;
-  return false;
-}
-
-/// If the statement begins with a plain call chain — `name(...)`,
-/// `ns::name(...)`, `obj.name(...)`, `obj->name(...)` — returns the final
-/// callee name; empty otherwise.
-std::string_view leadingCalleeName(std::string_view Text) {
-  size_t I = 0;
-  size_t NameBegin = 0, NameEnd = 0;
-  while (I < Text.size()) {
-    if (!isIdentChar(Text[I]))
-      return {};
-    NameBegin = I;
-    while (I < Text.size() && isIdentChar(Text[I]))
-      ++I;
-    NameEnd = I;
-    if (I >= Text.size())
-      return {};
-    if (Text[I] == '(')
-      return Text.substr(NameBegin, NameEnd - NameBegin);
-    if (Text.compare(I, 2, "::") == 0 || Text.compare(I, 2, "->") == 0) {
-      I += 2;
-      continue;
-    }
-    if (Text[I] == '.') {
-      I += 1;
-      continue;
-    }
-    return {};
-  }
-  return {};
 }
 
 /// Token-stream helpers shared by the token-level rules.
@@ -168,72 +57,6 @@ bool isPunctToken(const Token &T, char C) {
 }
 
 //===----------------------------------------------------------------------===//
-// R1: discarded-status
-//===----------------------------------------------------------------------===//
-
-class DiscardedStatusRule final : public Rule {
-public:
-  std::string_view id() const override { return "R1"; }
-  std::string_view name() const override { return "discarded-status"; }
-  std::string_view summary() const override {
-    return "fallible calls must not discard their Status/Result";
-  }
-  std::string_view rationale() const override {
-    return "Every fallible API returns Status/Result and is declared "
-           "[[nodiscard]]. A discarded return is a save-point or I/O "
-           "failure the run silently absorbs: the eq. (5) merged averages "
-           "keep flowing with corrupted or missing subtotals and no crash "
-           "ever points at the cause. The rule reconstructs expression "
-           "statements and flags a leading call into the fallible-API set "
-           "whose result is neither consumed nor explicitly cast away.";
-  }
-  std::string_view example() const override {
-    return "  writeSnapshot(Path, State);            // flagged\n"
-           "  Status S = writeSnapshot(Path, State); // ok: handled\n"
-           "  (void)writeSnapshot(Path, State);      // ok: explicit";
-  }
-
-  void check(const SourceFile &File, const LintContext &Context,
-             std::vector<Diagnostic> &Out) const override {
-    // When the flow-sensitive R11 is part of the run, it owns discarded
-    // calls inside bodies it can analyze (with path witnesses attached);
-    // this rule stands down there so one violation is never reported
-    // twice. Bodies the CFG builder could not model, declarations and
-    // file-scope statements stay R1 territory.
-    std::vector<std::pair<uint32_t, uint32_t>> FlowCovered;
-    if (Context.FlowRulesActive)
-      for (const FunctionCfg &Cfg : File.functions())
-        if (Cfg.analyzable())
-          FlowCovered.emplace_back(Cfg.BodyFirstLine, Cfg.BodyLastLine);
-    forEachStatement(File, [&](const Statement &Stmt) {
-      for (const auto &[Begin, End] : FlowCovered)
-        if (Stmt.FirstLine >= Begin && Stmt.FirstLine <= End)
-          return; // R11 supersedes inside this body
-      std::string_view Text = trim(Stmt.Text);
-      if (Text.empty() || Text.back() != ';')
-        return; // only expression statements can discard
-      if (startsWith(Text, "(void)"))
-        return; // explicit, reviewed discard
-      if (startsWithStatementKeyword(Text))
-        return;
-      if (hasTopLevelAssignment(Text))
-        return;
-      std::string_view Callee = leadingCalleeName(Text);
-      if (Callee.empty() ||
-          Context.NodiscardFunctions.find(Callee) ==
-              Context.NodiscardFunctions.end())
-        return;
-      Out.push_back({File.path(), unsigned(Stmt.FirstLine + 1),
-                     std::string(id()), std::string(name()),
-                     "result of fallible call '" + std::string(Callee) +
-                         "' is discarded; handle the Status or spell the "
-                         "discard '(void)'",
-                     {}});
-    });
-  }
-};
-
-//===----------------------------------------------------------------------===//
 // R2: nondeterminism
 //===----------------------------------------------------------------------===//
 
@@ -250,7 +73,10 @@ public:
            "produce the identical realization sequence. Any ambient "
            "entropy or wall-clock read — std::random_device, "
            "system_clock, time(), gettimeofday() — breaks that silently. "
-           "All time flows through the injectable parmonc::Clock seam.";
+           "All time flows through the injectable parmonc::Clock seam. "
+           "The banned names are the wall-clock and entropy rows of the "
+           "source table R14 follows through call chains; R2 flags them "
+           "even where no value reaches a sink.";
   }
   std::string_view example() const override {
     return "  std::random_device Rd;          // flagged\n"
@@ -262,37 +88,33 @@ public:
              std::vector<Diagnostic> &Out) const override {
     if (pathEndsWith(File.path(), "support/Clock.h"))
       return; // the one approved seam
-    static constexpr std::array<std::string_view, 3> BannedTypes = {
-        "std::random_device", "std::chrono::system_clock",
-        "std::chrono::high_resolution_clock"};
-    static constexpr std::array<std::string_view, 10> BannedCalls = {
-        "rand",      "srand",        "random",       "drand48", "lrand48",
-        "time",      "gettimeofday", "clock_gettime", "localtime", "gmtime"};
     for (size_t Index = 0; Index < File.lineCount(); ++Index) {
       std::string_view Line = File.scrubbedLine(Index);
-      for (std::string_view Banned : BannedTypes) {
-        if (findWordToken(Line, Banned) == std::string_view::npos)
-          continue;
-        Out.push_back({File.path(), unsigned(Index + 1),
-                       std::string(id()), std::string(name()),
-                       "'" + std::string(Banned) +
-                           "' is a nondeterminism source; inject time "
-                           "through parmonc::Clock "
-                           "(support/Clock.h) instead",
-                       {}});
-        break;
-      }
-      for (std::string_view Banned : BannedCalls) {
-        if (!isBannedCall(Line, Banned))
-          continue;
-        Out.push_back({File.path(), unsigned(Index + 1),
-                       std::string(id()), std::string(name()),
-                       "call to '" + std::string(Banned) +
-                           "()' injects nondeterminism; use the "
-                           "parmonc::Clock seam or the stream "
-                           "hierarchy instead",
-                       {}});
-        break;
+      bool SawType = false, SawCall = false; // one finding of each per line
+      for (const DirectTaintSource &Source : directTaintSources()) {
+        if (Source.Kind == TaintKind::Environment)
+          continue; // R14 only: reading PARMONC_WORKDIR is legitimate
+        if (Source.IsType && !SawType &&
+            findWordToken(Line, Source.Spelling) != std::string_view::npos) {
+          SawType = true;
+          Out.push_back({File.path(), unsigned(Index + 1),
+                         std::string(id()), std::string(name()),
+                         "'" + std::string(Source.Spelling) +
+                             "' is a nondeterminism source; inject time "
+                             "through parmonc::Clock "
+                             "(support/Clock.h) instead",
+                         {}});
+        } else if (!Source.IsType && !SawCall &&
+                   isBannedCall(Line, Source.Spelling)) {
+          SawCall = true;
+          Out.push_back({File.path(), unsigned(Index + 1),
+                         std::string(id()), std::string(name()),
+                         "call to '" + std::string(Source.Spelling) +
+                             "()' injects nondeterminism; use the "
+                             "parmonc::Clock seam or the stream "
+                             "hierarchy instead",
+                         {}});
+        }
       }
     }
   }
@@ -338,74 +160,6 @@ private:
       Pos = End;
     }
     return false;
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// R3: raw-concurrency
-//===----------------------------------------------------------------------===//
-
-class RawConcurrencyRule final : public Rule {
-public:
-  std::string_view id() const override { return "R3"; }
-  std::string_view name() const override { return "raw-concurrency"; }
-  std::string_view summary() const override {
-    return "thread/mutex/atomic primitives only in mpsim/, obs/, core/";
-  }
-  std::string_view rationale() const override {
-    return "Cross-rank state must flow through the idempotent collector "
-           "protocol and the mpsim communicator; scattered ad-hoc threads "
-           "and locks make the eq. (5) merge path unauditable. Raw std:: "
-           "synchronization is therefore confined to mpsim/ and obs/ "
-           "(whose whole job is concurrency) and the Clock seam. core/ is "
-           "excluded here because R8 applies the stricter "
-           "mailbox-discipline check there, including call-graph taint.";
-  }
-  std::string_view example() const override {
-    return "  // in src/vr/ControlVariates.cpp:\n"
-           "  std::mutex M;                 // flagged\n"
-           "  #include <thread>             // flagged\n"
-           "  // in src/mpsim/Mailbox.cpp: ok — the blessed layer";
-  }
-
-  void check(const SourceFile &File, const LintContext &,
-             std::vector<Diagnostic> &Out) const override {
-    if (pathContainsComponent(File.path(), "mpsim") ||
-        pathContainsComponent(File.path(), "obs") ||
-        pathContainsComponent(File.path(), "core") ||
-        pathEndsWith(File.path(), "support/Clock.h"))
-      return;
-    for (size_t Index = 0; Index < File.lineCount(); ++Index) {
-      std::string_view Raw = trim(File.rawLine(Index));
-      if (startsWith(Raw, "#include")) {
-        for (std::string_view Banned : rawConcurrencyIncludeNeedles()) {
-          if (Raw.find(Banned) == std::string_view::npos)
-            continue;
-          Out.push_back({File.path(), unsigned(Index + 1),
-                         std::string(id()), std::string(name()),
-                         "include of " + std::string(Banned) +
-                             " outside mpsim/ and obs/; route "
-                             "concurrency through the communicator or "
-                             "the metrics registry",
-                         {}});
-          break;
-        }
-        continue;
-      }
-      std::string_view Line = File.scrubbedLine(Index);
-      for (std::string_view Banned : rawConcurrencyTypeNeedles()) {
-        if (findWordToken(Line, Banned) == std::string_view::npos)
-          continue;
-        Out.push_back({File.path(), unsigned(Index + 1),
-                       std::string(id()), std::string(name()),
-                       "'" + std::string(Banned) +
-                           "' outside mpsim/ and obs/; cross-rank "
-                           "state must flow through the collector "
-                           "protocol",
-                       {}});
-        break;
-      }
-    }
   }
 };
 
@@ -913,28 +667,30 @@ public:
   std::string_view id() const override { return "R8"; }
   std::string_view name() const override { return "mailbox-discipline"; }
   std::string_view summary() const override {
-    return "core/ concurrency and all socket I/O flow through mpsim";
+    return "raw thread/mutex/atomic use only in mpsim/ and obs/, socket "
+           "I/O only in mpsim/";
   }
   std::string_view rationale() const override {
-    return "PR 4 widened the engine: core/ drives worker threads, but "
-           "only through the mpsim::WorkerGroup / Mailbox layer, whose "
-           "queues carry the idempotent collector protocol. Direct "
-           "std:: synchronization in core/ — or a call from core/ into a "
-           "helper that uses it internally — reintroduces the ad-hoc "
-           "sharing R3 banned, now hidden behind a function boundary. "
-           "This rule supersedes R3 inside core/: it applies the same "
-           "needle set plus call-graph taint from the project index "
-           "(functions defined in raw-synchronization TUs outside "
-           "mpsim/ and obs/). PR 6 added the process transport, and with "
-           "it a second discipline: raw socket calls (socketpair, "
+    return "Cross-rank and cross-thread state must flow through the "
+           "mpsim::WorkerGroup / Mailbox layer, whose queues carry the "
+           "idempotent collector protocol; scattered ad-hoc threads and "
+           "locks make the eq. (5) merge path unauditable. Raw std:: "
+           "synchronization is therefore confined to mpsim/ and obs/ "
+           "(whose whole job is concurrency) and the Clock seam. Inside "
+           "core/ the rule also follows call-graph taint from the project "
+           "index: a call into a helper defined in a raw-synchronization "
+           "TU outside mpsim/ and obs/ is the same ad-hoc sharing hidden "
+           "behind a function boundary. Raw socket calls (socketpair, "
            "sendmsg, AF_UNIX, ...) are banned everywhere outside mpsim/ — "
            "wire I/O belongs to the transport layer, where the frame "
            "codec guarantees CRC framing and the supervisor owns the "
            "file descriptors.";
   }
   std::string_view example() const override {
-    return "  // in src/core/Runner.cpp:\n"
+    return "  // in src/vr/ControlVariates.cpp or src/core/Runner.cpp:\n"
            "  std::mutex M;            // flagged (direct)\n"
+           "  #include <thread>        // flagged (direct)\n"
+           "  // in src/core/Runner.cpp:\n"
            "  spinOnFlag(Done);        // flagged if spinOnFlag() is\n"
            "                           // defined in a raw-sync TU\n"
            "  socketpair(AF_UNIX, ...) // flagged: sockets only in mpsim/\n"
@@ -943,75 +699,44 @@ public:
 
   void check(const SourceFile &File, const LintContext &Context,
              std::vector<Diagnostic> &Out) const override {
-    if (!pathContainsComponent(File.path(), "mpsim"))
-      checkRawSockets(File, Out);
-    if (!pathContainsComponent(File.path(), "core"))
+    const std::string_view Path = File.path();
+    if (pathContainsComponent(Path, "mpsim"))
       return;
-    checkDirectSync(File, Out);
-    checkTaintedCalls(File, Context, Out);
+    checkNeedles(File, rawSocketIncludeNeedles(), rawSocketTokenNeedles(),
+                 "outside mpsim/; socket I/O belongs to the transport layer",
+                 Out);
+    if (!pathContainsComponent(Path, "obs") &&
+        !pathEndsWith(Path, "support/Clock.h"))
+      checkNeedles(File, rawConcurrencyIncludeNeedles(),
+                   rawConcurrencyTypeNeedles(),
+                   "outside mpsim/ and obs/; cross-thread state must flow "
+                   "through mpsim::Mailbox/WorkerGroup",
+                   Out);
+    if (pathContainsComponent(Path, "core"))
+      checkTaintedCalls(File, Context, Out);
   }
 
 private:
-  void checkRawSockets(const SourceFile &File,
-                       std::vector<Diagnostic> &Out) const {
+  /// One finding per line that includes one of \p Headers or names one of
+  /// \p Names; \p Where says why the line is out of bounds.
+  void checkNeedles(const SourceFile &File,
+                    const std::vector<std::string_view> &Headers,
+                    const std::vector<std::string_view> &Names,
+                    std::string_view Where,
+                    std::vector<Diagnostic> &Out) const {
     for (size_t Index = 0; Index < File.lineCount(); ++Index) {
       std::string_view Raw = trim(File.rawLine(Index));
-      if (startsWith(Raw, "#include")) {
-        for (std::string_view Banned : rawSocketIncludeNeedles()) {
-          if (Raw.find(Banned) == std::string_view::npos)
-            continue;
-          Out.push_back({File.path(), unsigned(Index + 1),
-                         std::string(id()), std::string(name()),
-                         "include of " + std::string(Banned) +
-                             " outside mpsim/; socket I/O belongs to the "
-                             "transport layer",
-                         {}});
-          break;
-        }
-        continue;
-      }
-      std::string_view Line = File.scrubbedLine(Index);
-      for (std::string_view Banned : rawSocketTokenNeedles()) {
-        if (findWordToken(Line, Banned) == std::string_view::npos)
+      const bool IsInclude = startsWith(Raw, "#include");
+      for (std::string_view Banned : IsInclude ? Headers : Names) {
+        if (IsInclude ? Raw.find(Banned) == std::string_view::npos
+                      : findWordToken(File.scrubbedLine(Index), Banned) ==
+                            std::string_view::npos)
           continue;
-        Out.push_back({File.path(), unsigned(Index + 1),
-                       std::string(id()), std::string(name()),
-                       "'" + std::string(Banned) +
-                           "' outside mpsim/; socket I/O belongs to the "
-                           "transport layer",
-                       {}});
-        break;
-      }
-    }
-  }
-
-  void checkDirectSync(const SourceFile &File,
-                       std::vector<Diagnostic> &Out) const {
-    for (size_t Index = 0; Index < File.lineCount(); ++Index) {
-      std::string_view Raw = trim(File.rawLine(Index));
-      if (startsWith(Raw, "#include")) {
-        for (std::string_view Banned : rawConcurrencyIncludeNeedles()) {
-          if (Raw.find(Banned) == std::string_view::npos)
-            continue;
-          Out.push_back({File.path(), unsigned(Index + 1),
-                         std::string(id()), std::string(name()),
-                         "include of " + std::string(Banned) +
-                             " in core/; cross-thread state must flow "
-                             "through mpsim::Mailbox/WorkerGroup",
-                         {}});
-          break;
-        }
-        continue;
-      }
-      std::string_view Line = File.scrubbedLine(Index);
-      for (std::string_view Banned : rawConcurrencyTypeNeedles()) {
-        if (findWordToken(Line, Banned) == std::string_view::npos)
-          continue;
-        Out.push_back({File.path(), unsigned(Index + 1),
-                       std::string(id()), std::string(name()),
-                       "'" + std::string(Banned) +
-                           "' in core/; cross-thread state must flow "
-                           "through mpsim::Mailbox/WorkerGroup",
+        Out.push_back({File.path(), unsigned(Index + 1), std::string(id()),
+                       std::string(name()),
+                       (IsInclude ? "include of " + std::string(Banned)
+                                  : "'" + std::string(Banned) + "'") +
+                           " " + std::string(Where),
                        {}});
         break;
       }
@@ -1269,11 +994,14 @@ public:
            "fixed or moved, the waiver survives as a stale grant that "
            "would silently cover a future regression on that line. The "
            "analyzer therefore tracks which waivers suppressed at least "
-           "one finding this run and flags the rest. The fix (removing "
-           "the comment) is mechanically safe, so R10 supports --fix.";
+           "one finding this run and flags the rest, along with any "
+           "waiver naming a rule id mclint does not have (a retired rule's "
+           "waiver could never suppress anything again). The fix "
+           "(removing the comment) is mechanically safe, so R10 supports "
+           "--fix.";
   }
   std::string_view example() const override {
-    return "  int X = 0; // mclint: allow(R3): legacy  <- flagged once\n"
+    return "  int X = 0; // mclint: allow(R8): legacy  <- flagged once\n"
            "             //   the line no longer uses std:: sync";
   }
 
@@ -1341,9 +1069,7 @@ const std::vector<std::string_view> &rawSocketIncludeNeedles() {
 
 std::vector<std::unique_ptr<Rule>> makeAllRules() {
   std::vector<std::unique_ptr<Rule>> Rules;
-  Rules.push_back(std::make_unique<DiscardedStatusRule>());
   Rules.push_back(std::make_unique<NondeterminismRule>());
-  Rules.push_back(std::make_unique<RawConcurrencyRule>());
   Rules.push_back(std::make_unique<IncludeHygieneRule>());
   Rules.push_back(std::make_unique<NarrowingEstimatorRule>());
   Rules.push_back(std::make_unique<StreamDisciplineRule>());
@@ -1361,7 +1087,7 @@ std::vector<std::unique_ptr<Rule>> makeAllRules() {
 }
 
 std::set<std::string, std::less<>> builtinFallibleFunctions() {
-  // The project's fallible APIs, so R1 works even when the headers that
+  // The project's fallible APIs, so R11 works even when the headers that
   // declare them are outside the scanned roots (e.g. linting examples/
   // alone). Kept in sync by LintRulesTest.BuiltinListMatchesHeaders.
   return {

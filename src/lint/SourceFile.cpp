@@ -15,7 +15,7 @@ namespace lint {
 
 namespace {
 
-/// Extracts the rule ids from one waiver directive body, e.g. "R1,R3".
+/// Extracts the rule ids from one waiver directive body, e.g. "R2,R8".
 std::vector<std::string> parseRuleList(std::string_view Body) {
   std::vector<std::string> Ids;
   for (std::string_view Field : splitChar(Body, ','))

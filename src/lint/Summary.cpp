@@ -43,22 +43,45 @@ std::string_view sinkKindLabel(SinkKind Kind) {
   return "determinism-critical output";
 }
 
+const std::vector<DirectTaintSource> &directTaintSources() {
+  static const std::vector<DirectTaintSource> Sources = {
+      {"std::random_device", TaintKind::Entropy, true},
+      {"std::chrono::system_clock", TaintKind::WallClock, true},
+      {"std::chrono::high_resolution_clock", TaintKind::WallClock, true},
+      {"time", TaintKind::WallClock, false},
+      {"gettimeofday", TaintKind::WallClock, false},
+      {"clock_gettime", TaintKind::WallClock, false},
+      {"localtime", TaintKind::WallClock, false},
+      {"gmtime", TaintKind::WallClock, false},
+      {"rand", TaintKind::Entropy, false},
+      {"srand", TaintKind::Entropy, false},
+      {"random", TaintKind::Entropy, false},
+      {"drand48", TaintKind::Entropy, false},
+      {"lrand48", TaintKind::Entropy, false},
+      {"mrand48", TaintKind::Entropy, false},
+      {"rand_r", TaintKind::Entropy, false},
+      {"getenv", TaintKind::Environment, false},
+      {"secure_getenv", TaintKind::Environment, false},
+  };
+  return Sources;
+}
+
 bool taintCallName(std::string_view Name, TaintKind &Kind) {
-  if (Name == "time" || Name == "gettimeofday" || Name == "clock_gettime" ||
-      Name == "localtime" || Name == "gmtime") {
-    Kind = TaintKind::WallClock;
-    return true;
-  }
-  if (Name == "rand" || Name == "srand" || Name == "random" ||
-      Name == "drand48" || Name == "lrand48" || Name == "mrand48" ||
-      Name == "rand_r") {
-    Kind = TaintKind::Entropy;
-    return true;
-  }
-  if (Name == "getenv" || Name == "secure_getenv") {
-    Kind = TaintKind::Environment;
-    return true;
-  }
+  for (const DirectTaintSource &Source : directTaintSources())
+    if (!Source.IsType && Source.Spelling == Name) {
+      Kind = Source.Kind;
+      return true;
+    }
+  return false;
+}
+
+bool taintTypeName(std::string_view Name, TaintKind &Kind) {
+  for (const DirectTaintSource &Source : directTaintSources())
+    if (Source.IsType &&
+        Source.Spelling.substr(Source.Spelling.rfind(':') + 1) == Name) {
+      Kind = Source.Kind;
+      return true;
+    }
   return false;
 }
 
@@ -409,18 +432,16 @@ extractFunctionEvidence(const SourceFile &File) {
       const bool IsCall = Next < End && isPunctTok(Tokens[Next], '(');
       if (IsCall && taintCallName(T.Text, Taint)) {
         Fn.TaintSources.push_back({Taint, T.Line});
-      } else if (T.Text == "random_device") {
-        Fn.TaintSources.push_back({TaintKind::Entropy, T.Line});
-      } else if (T.Text == "system_clock" ||
-                 T.Text == "high_resolution_clock") {
-        size_t C1 = Next;
-        if (C1 < End && isPunctTok(Tokens[C1], ':')) {
-          const size_t C2 = nextCode(Tokens, C1);
-          const size_t Now = C2 < End ? nextCode(Tokens, C2) : End;
-          if (Now < End && Tokens[Now].Kind == TokenKind::Identifier &&
-              Tokens[Now].Text == "now")
-            Fn.TaintSources.push_back({TaintKind::WallClock, T.Line});
-        }
+      } else if (taintTypeName(T.Text, Taint)) {
+        // A clock type taints where it is read: `system_clock::now`.
+        const size_t C2 = Next < End && isPunctTok(Tokens[Next], ':')
+                              ? nextCode(Tokens, Next)
+                              : End;
+        const size_t Now = C2 < End ? nextCode(Tokens, C2) : End;
+        if (Taint != TaintKind::WallClock ||
+            (Now < End && Tokens[Now].Kind == TokenKind::Identifier &&
+             Tokens[Now].Text == "now"))
+          Fn.TaintSources.push_back({Taint, T.Line});
       } else if (T.Text == "hash" && Next < End &&
                  isPunctTok(Tokens[Next], '<')) {
         int Depth = 1;

@@ -13,6 +13,8 @@
 
 #include <cmath>
 #include <filesystem>
+#include <string>
+#include <vector>
 
 namespace parmonc {
 namespace {
@@ -175,6 +177,58 @@ TEST(RunnerHistogram, ResumeRejectsGeometryChange) {
   Third.SequenceNumber = 1;
   Third.Histograms.clear();
   EXPECT_FALSE(runSimulation(mixedRealization, Third).isOk());
+}
+
+/// The histograms of \p Store's merged checkpoint, serialized.
+std::vector<std::string> checkpointHistograms(const ResultsStore &Store) {
+  std::vector<std::string> Files;
+  Result<ResultsStore::RecoveredSnapshot> Checkpoint =
+      Store.readSnapshotWithFallback(Store.checkpointPath());
+  EXPECT_TRUE(Checkpoint.isOk()) << Checkpoint.status().toString();
+  if (Checkpoint)
+    for (const HistogramEstimator &Histogram :
+         Checkpoint.value().Snapshot.Histograms)
+      Files.push_back(Histogram.toFileContents());
+  return Files;
+}
+
+TEST(RunnerHistogram, ManaverRebuildsCheckpointHistogramsExactly) {
+  // §3.4 manaver over the per-rank subtotal files rebuilds the completed
+  // run's checkpointed histograms byte for byte: on top of the base.dat a
+  // resumed run started from, and without a base.dat, where the first
+  // subtotal defines the histogram set.
+  for (const bool WithBase : {false, true}) {
+    ScratchDir Dir(WithBase ? "manaver_base" : "manaver_nobase");
+    RunConfig Config = histogramConfig(Dir.path());
+    Config.ProcessorCount = 3;
+    Config.MaxSampleVolume = 3000;
+    Config.AveragePeriodNanos = 50'000'000;
+    ASSERT_TRUE(runSimulation(mixedRealization, Config).isOk());
+    if (WithBase) {
+      Config.Resume = true;
+      Config.SequenceNumber = 1;
+      Config.MaxSampleVolume = 2000;
+      ASSERT_TRUE(runSimulation(mixedRealization, Config).isOk());
+    }
+    ResultsStore Store(Dir.path());
+    if (!WithBase) {
+      std::filesystem::remove(Store.basePath());
+      std::filesystem::remove(ResultsStore::backupPath(Store.basePath()));
+    }
+    ASSERT_EQ(fileExists(Store.basePath()), WithBase);
+    const std::vector<std::string> Expected = checkpointHistograms(Store);
+    ASSERT_EQ(Expected.size(), 2u);
+
+    Result<MomentSnapshot> Merged = runManualAverage(Store);
+    ASSERT_TRUE(Merged.isOk()) << Merged.status().toString();
+    EXPECT_EQ(Merged.value().Moments.sampleVolume(), WithBase ? 5000 : 3000);
+    ASSERT_EQ(Merged.value().Histograms.size(), Expected.size());
+    for (size_t Index = 0; Index < Expected.size(); ++Index)
+      EXPECT_EQ(Merged.value().Histograms[Index].toFileContents(),
+                Expected[Index])
+          << "histogram " << Index << (WithBase ? " with" : " without")
+          << " base.dat";
+  }
 }
 
 TEST(RunnerHistogram, SnapshotRoundTripKeepsHistograms) {

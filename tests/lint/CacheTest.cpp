@@ -14,6 +14,7 @@
 
 #include "parmonc/lint/Analyzer.h"
 #include "parmonc/lint/Baseline.h"
+#include "parmonc/lint/Cache.h"
 #include "parmonc/support/Text.h"
 
 #include <gtest/gtest.h>
@@ -231,6 +232,35 @@ TEST(LintCacheTest, MalformedCacheIsDiscardedAndRebuilt) {
 
   LintReport Warm = runTree(Root, CachePath);
   EXPECT_EQ(Warm.CacheHits, 1u);
+}
+
+TEST(LintCacheTest, CacheUnderAnotherConfigStampIsAllMisses) {
+  // A rule can change meaning under an unchanged id: R8 once scanned raw
+  // synchronization in core/ only, so an engine=4 `--rule=R8` cache holds
+  // no finding for this vr/ file. Saved under that older stamp, the cache
+  // must replay nothing.
+  const std::string Root = scratchTree("stamp");
+  const std::string CachePath = Root + "/cache.txt";
+  writeAt(Root, "vr/a.cpp",
+          "namespace parmonc {\n"
+          "std::mutex FixtureLock;\n"
+          "} // namespace parmonc\n");
+  LintReport Fresh = runTree(Root, CachePath, {"R8"});
+  ASSERT_EQ(Fresh.Diagnostics.size(), 1u);
+
+  LintCache Stale;
+  Stale.load(CachePath, cacheConfigStamp({"R8"}));
+  ASSERT_EQ(Stale.size(), 1u);
+  CacheEntry Entry = *Stale.lookup(Fresh.Diagnostics[0].Path);
+  Entry.Diags.clear();
+  Stale.update(Fresh.Diagnostics[0].Path, std::move(Entry));
+  Status Saved = Stale.save(CachePath, "config engine=4 cfg=1 rules=R8");
+  ASSERT_TRUE(Saved) << Saved.message();
+
+  LintReport Report = runTree(Root, CachePath, {"R8"});
+  EXPECT_EQ(Report.CacheHits, 0u);
+  EXPECT_EQ(Report.CacheMisses, 1u);
+  EXPECT_EQ(renderedDiags(Report), renderedDiags(Fresh));
 }
 
 //===----------------------------------------------------------------------===//

@@ -236,7 +236,7 @@ TEST(SarifTest, RuleMetadataCarriesHelpUris) {
   // Every rule in the driver metadata links into docs/LINT_RULES.md at
   // its own anchor.
   for (const char *Anchor :
-       {"docs/LINT_RULES.md#r1-discarded-status",
+       {"docs/LINT_RULES.md#r2-nondeterminism",
         "docs/LINT_RULES.md#r6-stream-discipline",
         "docs/LINT_RULES.md#r10-stale-waiver",
         "docs/LINT_RULES.md#r11-must-check",

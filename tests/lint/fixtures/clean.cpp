@@ -1,4 +1,4 @@
-// mclint fixture: violates none of R1–R5. Mentions of "std::thread" and
+// mclint fixture: violates none of R2, R4, R5, R8 or R11. Mentions of "std::thread" and
 // rand() in comments or strings must not trigger: the rules match only on
 // scrubbed code.
 #include "parmonc/support/Text.h"

@@ -7,7 +7,7 @@
 
 namespace parmonc {
 
-/// A header that violates none of R1–R5.
+/// A header that violates none of R2, R4, R5, R8 or R11.
 [[nodiscard]] Status fixtureSave(const std::string &Path);
 
 } // namespace parmonc

@@ -1,5 +1,5 @@
-// mclint fixture: R8 direct raw synchronization inside core/ (the rule
-// supersedes R3 there).
+// mclint fixture: R8 direct raw synchronization inside core/, where the
+// call-taint check applies too. Never compiled — linted only.
 #include <condition_variable> // expect: R8
 
 namespace parmonc {

@@ -1,7 +1,7 @@
-// mclint fixture: R11 must-check — the flow-sensitive successor of R1.
+// mclint fixture: R11 must-check, the flow-sensitive half.
 // A Status/Result local must be consumed on EVERY path before scope exit;
-// the CFG makes "checked on one branch only" visible where the token-level
-// R1 could not see it. Never compiled — linted only.
+// the CFG makes "checked on one branch only" visible where a
+// statement-at-a-time check could not see it. Never compiled — linted only.
 
 namespace parmonc {
 

@@ -1,6 +1,6 @@
-// mclint fixture: R1/R11 discarded-status. Inside a function body the
-// flow-sensitive R11 supersedes R1; a rule-filtered R1-only run still
-// reports these lines as R1. Never compiled — linted only.
+// mclint fixture: R11 must-check, the discarded-call half: a bare call
+// into the fallible-API set drops its Status, in any function body the CFG
+// builder parses. Never compiled — linted only.
 #include "parmonc/support/Text.h"
 
 [[nodiscard]] int mightFail();
@@ -14,9 +14,7 @@ void fixtureBody() {
   Status Saved = writeFileAtomic("ledger.dat", "x");
   if (!Saved)
     return;
-  // mclint: allow(R1, R11): fixture demonstrates the waiver escape hatch
-  // (R1 for rule-filtered runs where the flow engine is off, R11 for the
-  // full-rule run where it supersedes R1 inside bodies).
+  // mclint: allow(R11): fixture demonstrates the waiver escape hatch
   writeFileAtomic("waived.dat", "x");
 }
 

@@ -9,7 +9,7 @@
 //   $ mclint [options] <path>...
 //
 // Scans the given files/directories for violations of the project's
-// enforced invariants R1–R16 (see docs/LINT_RULES.md). Without --werror,
+// enforced invariants R2–R16 (see docs/LINT_RULES.md). Without --werror,
 // findings are warnings and the exit code is 0; with --werror they are
 // errors and any finding exits 1 — that is the CI gate:
 //
@@ -38,7 +38,7 @@ static int printUsage(const char *Program) {
       stderr,
       "usage: %s [options] <path>...\n"
       "  --werror               findings are errors: any finding exits 1\n"
-      "  --rule=IDS             run only the named rules, e.g. --rule=R1,R3\n"
+      "  --rule=IDS             run only the named rules, e.g. --rule=R2,R8\n"
       "  --format=text|sarif    output format (default: text)\n"
       "  --baseline=FILE        suppress findings recorded in FILE\n"
       "  --write-baseline=FILE  record current findings to FILE and exit\n"
