@@ -21,6 +21,7 @@
 #include "parmonc/support/Status.h"
 
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -46,6 +47,14 @@ struct NormalPair {
   double Second;
 };
 NormalPair sampleStandardNormalPair(RandomSource &Source);
+
+/// The Box–Muller transform behind sampleStandardNormalPair, for callers
+/// that draw their uniforms in bulk. \p U1 and \p U2 must lie in (0,1).
+inline NormalPair boxMuller(double U1, double U2) {
+  const double Radius = std::sqrt(-2.0 * std::log(U1));
+  const double Angle = 2.0 * M_PI * U2;
+  return {Radius * std::cos(Angle), Radius * std::sin(Angle)};
+}
 
 /// Exponential with rate \p Rate > 0 (mean 1/Rate), by inversion.
 double sampleExponential(RandomSource &Source, double Rate);

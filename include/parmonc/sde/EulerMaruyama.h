@@ -44,6 +44,11 @@ struct SdeSystem {
   /// \p DiffusionOut.
   std::function<void(double Time, const double *State, double *DiffusionOut)>
       Diffusion;
+  /// True when a(t, y) and b(t, y) depend on neither time nor state — a
+  /// property of the model, such as the dy = C dt + D dw of
+  /// LinearSdeSystem. The integrator then evaluates both callbacks once
+  /// per trajectory instead of once per step; results are bit-identical.
+  bool ConstantCoefficients = false;
 };
 
 /// A constant-coefficient linear system dy = C dt + D dw (the paper's §4
@@ -57,7 +62,8 @@ struct LinearSdeSystem {
 
   size_t dimension() const { return InitialState.size(); }
 
-  /// Wraps the constant coefficients in the generic callback form.
+  /// Wraps the constant coefficients in the generic callback form, with
+  /// SdeSystem::ConstantCoefficients set.
   SdeSystem toSystem() const;
 
   /// E y_j(t) = y0_j + C_j t.
@@ -80,6 +86,9 @@ public:
   /// (strictly increasing, within (0, EndTime]). Writes the samples
   /// row-major into \p Samples: OutputTimes.size() rows x d columns.
   /// Sampling happens at the first mesh point >= the requested time.
+  /// Uniforms are drawn in blocks through RandomSource::fillUniforms, and
+  /// exactly as many as a step-by-step Box–Muller loop would draw: the
+  /// samples and the final stream position do not depend on the blocking.
   void simulateTrajectory(RandomSource &Source, const double *InitialState,
                           double EndTime,
                           const std::vector<double> &OutputTimes,

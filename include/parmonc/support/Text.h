@@ -26,10 +26,16 @@ namespace parmonc {
 /// Formats \p Value in scientific notation with \p Precision significant
 /// digits after the point (e.g. "1.234567890123456e+02"). This is the
 /// canonical representation used in all result files; it round-trips
-/// doubles exactly at Precision >= 17.
+/// doubles exactly at Precision >= 17. The bytes are those of printf's
+/// "%.*e".
 std::string formatScientific(double Value, int Precision = 17);
 
+/// Appends formatScientific(\p Value, \p Precision) to \p Out without a
+/// temporary string — the form for writers that format many values.
+void appendScientific(std::string &Out, double Value, int Precision = 17);
+
 /// Formats \p Value with a fixed number of decimals, for human-facing logs.
+/// The bytes are those of printf's "%.*f", for every finite double.
 std::string formatFixed(double Value, int Decimals);
 
 /// Parses a double. Fails on trailing garbage or empty input.

@@ -17,25 +17,37 @@
 
 namespace parmonc {
 
+/// Bytes reserved per "%.17e" field: sign, 18 digits, point, "e+NN" and
+/// a separator.
+static constexpr size_t ScientificFieldBytes = 25;
+
 std::string MomentSnapshot::toFileContents() const {
   std::string Text;
+  Text.reserve(256 + 2 * Moments.valueSums().size() * ScientificFieldBytes);
   Text += "# PARMONC moment snapshot: raw sums, full precision\n";
   Text += "seqnum " + std::to_string(SequenceNumber) + "\n";
   Text += "shape " + std::to_string(Moments.rows()) + " " +
           std::to_string(Moments.columns()) + "\n";
   Text += "volume " + std::to_string(Moments.sampleVolume()) + "\n";
-  Text += "compute_seconds " + formatScientific(ComputeSeconds) + "\n";
-  Text += "sums";
-  for (double Sum : Moments.valueSums())
-    Text += " " + formatScientific(Sum);
+  Text += "compute_seconds ";
+  appendScientific(Text, ComputeSeconds);
+  Text += "\nsums";
+  for (double Sum : Moments.valueSums()) {
+    Text += ' ';
+    appendScientific(Text, Sum);
+  }
   Text += "\nsquares";
-  for (double Square : Moments.squareSums())
-    Text += " " + formatScientific(Square);
+  for (double Square : Moments.squareSums()) {
+    Text += ' ';
+    appendScientific(Text, Square);
+  }
   Text += "\n";
   for (const HistogramEstimator &Histogram : Histograms) {
-    Text += "histogram " + formatScientific(Histogram.low()) + " " +
-            formatScientific(Histogram.high()) + " " +
-            std::to_string(Histogram.binCount()) + " " +
+    Text += "histogram ";
+    appendScientific(Text, Histogram.low());
+    Text += ' ';
+    appendScientific(Text, Histogram.high());
+    Text += " " + std::to_string(Histogram.binCount()) + " " +
             std::to_string(Histogram.underflowCount()) + " " +
             std::to_string(Histogram.overflowCount());
     for (size_t Index = 0; Index < Histogram.binCount(); ++Index)
@@ -398,13 +410,14 @@ Status ResultsStore::writeResults(const EstimatorMatrix &Merged,
 
   // func.dat: one row of the mean matrix per line.
   std::string MeansText;
+  MeansText.reserve(Means.size() * ScientificFieldBytes);
   for (size_t Row = 0; Row < Merged.rows(); ++Row) {
     for (size_t Column = 0; Column < Merged.columns(); ++Column) {
       if (Column > 0)
-        MeansText += " ";
-      MeansText += formatScientific(Means[Row * Merged.columns() + Column]);
+        MeansText += ' ';
+      appendScientific(MeansText, Means[Row * Merged.columns() + Column]);
     }
-    MeansText += "\n";
+    MeansText += '\n';
   }
   if (Status Written =
           writeFileAtomic(meansPath(), sealFileContents(MeansText));
@@ -414,15 +427,19 @@ Status ResultsStore::writeResults(const EstimatorMatrix &Merged,
   // func_ci.dat: one entry per line with all four statistics.
   std::string ConfidenceText =
       "# row col mean abs_error rel_error_percent variance\n";
+  ConfidenceText.reserve(Means.size() * (4 * ScientificFieldBytes + 16));
   for (size_t Row = 0; Row < Merged.rows(); ++Row) {
     for (size_t Column = 0; Column < Merged.columns(); ++Column) {
       const size_t Index = Row * Merged.columns() + Column;
-      ConfidenceText += std::to_string(Row + 1) + " " +
-                        std::to_string(Column + 1) + " " +
-                        formatScientific(Means[Index]) + " " +
-                        formatScientific(AbsoluteErrors[Index]) + " " +
-                        formatScientific(RelativeErrors[Index]) + " " +
-                        formatScientific(Variances[Index]) + "\n";
+      ConfidenceText += std::to_string(Row + 1);
+      ConfidenceText += ' ';
+      ConfidenceText += std::to_string(Column + 1);
+      for (double Statistic : {Means[Index], AbsoluteErrors[Index],
+                               RelativeErrors[Index], Variances[Index]}) {
+        ConfidenceText += ' ';
+        appendScientific(ConfidenceText, Statistic);
+      }
+      ConfidenceText += '\n';
     }
   }
   if (Status Written = writeFileAtomic(confidencePath(),

@@ -21,9 +21,7 @@ NormalPair sampleStandardNormalPair(RandomSource &Source) {
   // is finite and the radius positive.
   const double U1 = Source.nextUniform();
   const double U2 = Source.nextUniform();
-  const double Radius = std::sqrt(-2.0 * std::log(U1));
-  const double Angle = 2.0 * M_PI * U2;
-  return {Radius * std::cos(Angle), Radius * std::sin(Angle)};
+  return boxMuller(U1, U2);
 }
 
 double sampleStandardNormal(RandomSource &Source) {

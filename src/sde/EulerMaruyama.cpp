@@ -30,6 +30,7 @@ SdeSystem LinearSdeSystem::toSystem() const {
                                  double *DiffusionOut) {
     std::copy(Diffusion.begin(), Diffusion.end(), DiffusionOut);
   };
+  System.ConstantCoefficients = true;
   return System;
 }
 
@@ -57,6 +58,40 @@ EulerMaruyama::EulerMaruyama(SdeSystem System, double StepSize)
          "system callbacks must be set");
 }
 
+/// Steps whose uniforms one RandomSource::fillUniforms call draws: large
+/// enough to amortize the virtual call and fill the batch kernels' lanes,
+/// small enough that the block stays in L1 for low noise dimensions.
+static constexpr int64_t BlockSteps = 256;
+
+/// The number of mesh steps integration takes. Stepping stops at the
+/// first mesh point that has reached every output time (or at
+/// \p StepCount), and only that many steps' uniforms may be drawn.
+/// Mesh times double(k) * StepSize grow with k, so that point is the
+/// first one reaching the largest emission threshold.
+static int64_t stepsToLastOutput(const std::vector<double> &OutputTimes,
+                                 double StepSize, int64_t StepCount) {
+  if (OutputTimes.empty() || StepCount <= 0)
+    return 0;
+  double Reach = -HUGE_VAL;
+  for (double OutputTime : OutputTimes) {
+    const double Threshold = OutputTime - 1e-12;
+    // A NaN time is never reached: every step runs.
+    if (std::isnan(Threshold))
+      return StepCount;
+    Reach = std::max(Reach, Threshold);
+  }
+  const double Estimate = std::ceil(Reach / StepSize);
+  int64_t Steps = Estimate < 1.0                 ? 1
+                  : Estimate >= double(StepCount) ? StepCount
+                                                  : int64_t(Estimate);
+  // The quotient may round either way; settle on the exact first step.
+  while (Steps > 1 && double(Steps - 1) * StepSize >= Reach)
+    --Steps;
+  while (Steps < StepCount && double(Steps) * StepSize < Reach)
+    ++Steps;
+  return Steps;
+}
+
 void EulerMaruyama::simulateTrajectory(
     RandomSource &Source, const double *InitialState, double EndTime,
     const std::vector<double> &OutputTimes, double *Samples) const {
@@ -65,39 +100,62 @@ void EulerMaruyama::simulateTrajectory(
 
   const size_t Dimension = System.Dimension;
   const size_t NoiseDimension = System.NoiseDimension;
+  // Each Box–Muller pair takes two uniforms; an odd noise dimension uses
+  // the first normal of its last pair and discards the second.
+  const size_t PairCount = (NoiseDimension + 1) / 2;
+  const size_t UniformsPerStep = 2 * PairCount;
   const double SqrtStep = std::sqrt(StepSize);
 
   std::vector<double> State(InitialState, InitialState + Dimension);
-  std::vector<double> Drift(Dimension);
-  std::vector<double> Diffusion(Dimension * NoiseDimension);
-  std::vector<double> Noise(NoiseDimension);
+  // h·a and √h·b: the increment below is h·a + Σ (√h·b)·ξ, the same
+  // association as evaluating it term by term, so pre-scaling is exact.
+  std::vector<double> ScaledDrift(Dimension);
+  std::vector<double> ScaledDiffusion(Dimension * NoiseDimension);
+  std::vector<double> Noise(UniformsPerStep);
+  std::vector<double> Block(size_t(BlockSteps) * UniformsPerStep);
+
+  auto evaluateCoefficients = [&](double Time) {
+    System.Drift(Time, State.data(), ScaledDrift.data());
+    System.Diffusion(Time, State.data(), ScaledDiffusion.data());
+    for (double &Drift : ScaledDrift)
+      Drift *= StepSize;
+    for (double &Diffusion : ScaledDiffusion)
+      Diffusion *= SqrtStep;
+  };
+  if (System.ConstantCoefficients)
+    evaluateCoefficients(0.0);
 
   size_t NextOutput = 0;
   const size_t OutputCount = OutputTimes.size();
   double Time = 0.0;
-  const int64_t StepCount = int64_t(std::ceil(EndTime / StepSize - 1e-9));
+  const int64_t StepsTaken = stepsToLastOutput(
+      OutputTimes, StepSize, int64_t(std::ceil(EndTime / StepSize - 1e-9)));
 
-  for (int64_t Step = 0; Step < StepCount && NextOutput < OutputCount;
-       ++Step) {
-    // Draw the noise vector pairwise to use both Box–Muller outputs.
-    size_t NoiseIndex = 0;
-    while (NoiseIndex + 1 < NoiseDimension) {
-      NormalPair Pair = sampleStandardNormalPair(Source);
-      Noise[NoiseIndex++] = Pair.First;
-      Noise[NoiseIndex++] = Pair.Second;
+  size_t BlockCursor = 0, BlockFilled = 0;
+  for (int64_t Step = 0; Step < StepsTaken; ++Step) {
+    if (BlockCursor == BlockFilled) {
+      BlockFilled =
+          size_t(std::min(BlockSteps, StepsTaken - Step)) * UniformsPerStep;
+      Source.fillUniforms(Block.data(), BlockFilled);
+      BlockCursor = 0;
     }
-    if (NoiseIndex < NoiseDimension)
-      Noise[NoiseIndex] = sampleStandardNormal(Source);
+    for (size_t Pair = 0; Pair < PairCount; ++Pair) {
+      const NormalPair Normals =
+          boxMuller(Block[BlockCursor], Block[BlockCursor + 1]);
+      Noise[2 * Pair] = Normals.First;
+      Noise[2 * Pair + 1] = Normals.Second;
+      BlockCursor += 2;
+    }
 
-    System.Drift(Time, State.data(), Drift.data());
-    System.Diffusion(Time, State.data(), Diffusion.data());
+    if (!System.ConstantCoefficients)
+      evaluateCoefficients(Time);
     for (size_t Component = 0; Component < Dimension; ++Component) {
-      double Increment = StepSize * Drift[Component];
-      const double *DiffusionRow = &Diffusion[Component * NoiseDimension];
+      double Increment = ScaledDrift[Component];
+      const double *DiffusionRow =
+          &ScaledDiffusion[Component * NoiseDimension];
       for (size_t NoiseComponent = 0; NoiseComponent < NoiseDimension;
            ++NoiseComponent)
-        Increment += SqrtStep * DiffusionRow[NoiseComponent] *
-                     Noise[NoiseComponent];
+        Increment += DiffusionRow[NoiseComponent] * Noise[NoiseComponent];
       State[Component] += Increment;
     }
     Time = double(Step + 1) * StepSize;

@@ -40,10 +40,14 @@ uint32_t crc32(std::string_view Bytes) {
 
 std::string sealFileContents(std::string_view Body) {
   char Header[64];
-  std::snprintf(Header, sizeof(Header),
-                "#%%parmonc-seal v1 crc32 %08x bytes %zu\n", crc32(Body),
-                Body.size());
-  return std::string(Header) + std::string(Body);
+  const int HeaderSize =
+      std::snprintf(Header, sizeof(Header),
+                    "#%%parmonc-seal v1 crc32 %08x bytes %zu\n", crc32(Body),
+                    Body.size());
+  std::string Sealed;
+  Sealed.reserve(size_t(HeaderSize) + Body.size());
+  Sealed.append(Header, size_t(HeaderSize)).append(Body);
+  return Sealed;
 }
 
 bool hasFileSeal(std::string_view Contents) {

@@ -8,8 +8,8 @@
 
 #include <cctype>
 #include <cerrno>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fcntl.h>
@@ -21,18 +21,42 @@
 
 namespace parmonc {
 
+/// Longest "%.17e" rendering: sign, digit, point, 17 digits, "e+308".
+static constexpr size_t ScientificBufferSize = 32;
+/// Longest "%.17f" rendering: sign, the 309 integer digits of DBL_MAX,
+/// point and 17 decimals.
+static constexpr size_t FixedBufferSize =
+    1 + (std::numeric_limits<double>::max_exponent10 + 1) + 1 + 17;
+
+/// std::to_chars with an explicit precision is specified to produce the
+/// bytes printf does for the matching conversion, without its locale and
+/// format-string overhead.
+static std::string_view formatInto(char *Buffer, size_t Size, double Value,
+                                   std::chars_format Format, int Precision) {
+  const std::to_chars_result Written =
+      std::to_chars(Buffer, Buffer + Size, Value, Format, Precision);
+  assert(Written.ec == std::errc() && "format buffer too small");
+  return std::string_view(Buffer, size_t(Written.ptr - Buffer));
+}
+
 std::string formatScientific(double Value, int Precision) {
+  std::string Text;
+  appendScientific(Text, Value, Precision);
+  return Text;
+}
+
+void appendScientific(std::string &Out, double Value, int Precision) {
   assert(Precision >= 1 && Precision <= 17 && "unsupported precision");
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.*e", Precision, Value);
-  return Buffer;
+  char Buffer[ScientificBufferSize];
+  Out += formatInto(Buffer, sizeof(Buffer), Value,
+                    std::chars_format::scientific, Precision);
 }
 
 std::string formatFixed(double Value, int Decimals) {
   assert(Decimals >= 0 && Decimals <= 17 && "unsupported decimal count");
-  char Buffer[64];
-  std::snprintf(Buffer, sizeof(Buffer), "%.*f", Decimals, Value);
-  return Buffer;
+  char Buffer[FixedBufferSize];
+  return std::string(formatInto(Buffer, sizeof(Buffer), Value,
+                                std::chars_format::fixed, Decimals));
 }
 
 Result<double> parseDouble(std::string_view Text) {

@@ -11,7 +11,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
+#include <vector>
 
 namespace parmonc {
 namespace {
@@ -66,9 +72,86 @@ TEST(FormatScientific, HonorsPrecision) {
   EXPECT_EQ(formatScientific(1.0 / 3.0, 3), "3.333e-01");
 }
 
+/// Doubles covering the formatting edge cases, then \p RandomCount values
+/// from a fixed-seed SplitMix64 bit stream reinterpreted as doubles, so
+/// every exponent (subnormal, normal, inf, nan) shows up.
+std::vector<double> formattingCorpus(size_t RandomCount) {
+  std::vector<double> Values = {
+      0.0,
+      -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      -std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      1.25,
+      0.1,
+      1.0 / 3.0};
+  uint64_t Seed = 0x5eed5eed5eed5eedULL;
+  for (size_t Index = 0; Index < RandomCount; ++Index) {
+    uint64_t Bits = (Seed += 0x9e3779b97f4a7c15ULL);
+    Bits = (Bits ^ (Bits >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    Bits = (Bits ^ (Bits >> 27)) * 0x94d049bb133111ebULL;
+    Bits ^= Bits >> 31;
+    double Value = 0.0;
+    std::memcpy(&Value, &Bits, sizeof(Value));
+    Values.push_back(Value);
+  }
+  return Values;
+}
+
+TEST(FormatScientific, MatchesPrintfBytes) {
+  for (double Value : formattingCorpus(10000)) {
+    for (int Precision = 1; Precision <= 17; ++Precision) {
+      char Expected[64];
+      std::snprintf(Expected, sizeof(Expected), "%.*e", Precision, Value);
+      std::string Appended = "x";
+      appendScientific(Appended, Value, Precision);
+      ASSERT_EQ(formatScientific(Value, Precision), Expected)
+          << "precision " << Precision;
+      ASSERT_EQ(Appended, std::string("x") + Expected);
+    }
+  }
+}
+
+TEST(FormatScientific, RoundTripsDoublesBitwise) {
+  for (double Value : formattingCorpus(10000)) {
+    Result<double> Parsed = parseDouble(formatScientific(Value));
+    ASSERT_TRUE(Parsed.isOk()) << formatScientific(Value);
+    // A NaN's payload has no text form; it must still parse as NaN.
+    if (std::isnan(Value)) {
+      EXPECT_TRUE(std::isnan(Parsed.value()));
+      continue;
+    }
+    uint64_t Before = 0, After = 0;
+    std::memcpy(&Before, &Value, sizeof(Value));
+    std::memcpy(&After, &Parsed.value(), sizeof(Value));
+    ASSERT_EQ(Before, After) << formatScientific(Value);
+  }
+}
+
 TEST(FormatFixed, Basic) {
   EXPECT_EQ(formatFixed(3.14159, 2), "3.14");
   EXPECT_EQ(formatFixed(-1.005, 0), "-1");
+}
+
+TEST(FormatFixed, DoesNotTruncateLargeValues) {
+  // 1e300 has 301 integer digits; DBL_MAX at 17 decimals is the longest
+  // rendering of all.
+  EXPECT_EQ(formatFixed(1e300, 2).size(), 301u + 3u);
+  for (double Value : formattingCorpus(2000)) {
+    if (!std::isfinite(Value))
+      continue;
+    for (int Decimals : {0, 2, 17}) {
+      char Expected[400];
+      std::snprintf(Expected, sizeof(Expected), "%.*f", Decimals, Value);
+      ASSERT_EQ(formatFixed(Value, Decimals), Expected)
+          << "decimals " << Decimals;
+    }
+  }
 }
 
 TEST(ParseDouble, AcceptsUsualForms) {
