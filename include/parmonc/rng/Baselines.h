@@ -24,8 +24,10 @@
 #ifndef PARMONC_RNG_BASELINES_H
 #define PARMONC_RNG_BASELINES_H
 
+#include "parmonc/int128/UInt128.h"
 #include "parmonc/rng/RandomSource.h"
 
+#include <array>
 #include <cassert>
 #include <cstdint>
 
@@ -87,10 +89,13 @@ private:
 /// Philox4x32 with 10 rounds (Salmon et al., Random123). Counter-based:
 /// each block of four 32-bit outputs is a keyed bijection of a 128-bit
 /// counter, so leaping is free — the natural modern comparator for the
-/// paper's leap-ahead design.
+/// paper's leap-ahead design. The same generator as the production
+/// `Philox` backend (both run philox4x32Block); this one is the bare
+/// Random123-style counter walk the benches compare against.
 class Philox4x32 final : public RandomSource {
 public:
-  explicit Philox4x32(uint64_t Key = 0xdeadbeefcafebabeull);
+  explicit Philox4x32(uint64_t Key = 0xdeadbeefcafebabeull)
+      : KeyLo(uint32_t(Key)), KeyHi(uint32_t(Key >> 32)) {}
 
   uint64_t nextBits64() override;
 
@@ -103,12 +108,11 @@ public:
   void seekToBlock(uint64_t BlockIndex);
 
 private:
-  void generateBlock();
-
-  uint32_t Counter[4] = {0, 0, 0, 0};
-  uint32_t Key[2];
-  uint32_t Block[4] = {0, 0, 0, 0};
-  unsigned NextWord = 4; ///< 4 == block exhausted, generate on next call.
+  uint32_t KeyLo;
+  uint32_t KeyHi;
+  UInt128 Counter;                        ///< the next block to generate
+  std::array<uint64_t, 2> Block = {0, 0}; ///< the current block's draws
+  unsigned NextDraw = 2;                  ///< 2 == exhausted, refill next
 };
 
 /// 64-bit multiplicative congruential generator modulo 2^64 with the

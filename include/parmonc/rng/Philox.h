@@ -24,7 +24,8 @@
 ///
 /// Distinct from the bench-only `Philox4x32` baseline in Baselines.h:
 /// this class carries the full 128-bit position, the hierarchy mapping,
-/// and the batched fill path, and is meant for production use.
+/// and the batched fill path, and is meant for production use. Both run
+/// philox4x32Block, so under one key they emit one stream.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,27 @@
 #include "parmonc/rng/RandomSource.h"
 #include "parmonc/rng/StreamHierarchy.h"
 
+#include <array>
+
 namespace parmonc {
+
+/// Philox4x32-10 round constants from Salmon et al., SC'11 (the Random123
+/// reference), shared by the scalar block function and the wide kernel.
+namespace philox4x32 {
+inline constexpr uint32_t MultiplierA = 0xD2511F53u;
+inline constexpr uint32_t MultiplierB = 0xCD9E8D57u;
+inline constexpr uint32_t KeyBumpA = 0x9E3779B9u; // golden ratio
+inline constexpr uint32_t KeyBumpB = 0xBB67AE85u; // sqrt(3) - 1
+inline constexpr unsigned Rounds = 10;
+} // namespace philox4x32
+
+/// The Philox4x32-10 block function: ten keyed rounds biject the 128-bit
+/// \p Counter into 128 output bits, returned as the block's two 64-bit
+/// draws in stream order (draw 0 = X1:X0, draw 1 = X3:X2). The one scalar
+/// implementation — `Philox`, the `Philox4x32` baseline and the wide
+/// kernel's differential tests (rngsimd::fillPhiloxWide) all run it.
+std::array<uint64_t, 2> philox4x32Block(uint32_t KeyLo, uint32_t KeyHi,
+                                        UInt128 Counter);
 
 /// Counter-based generator: Philox4x32-10 over a 128-bit block counter.
 /// Each 128-bit counter value is bijected through ten keyed rounds into
@@ -73,8 +94,9 @@ public:
   uint64_t nextBits64() override;
 
   /// Batched generation, bit-equal to \p Count nextBits64()-backed
-  /// nextUniform() calls: whole blocks are expanded straight into \p Out,
-  /// with scalar draws only at the unaligned edges.
+  /// nextUniform() calls: whole lane groups of blocks go through the wide
+  /// kernel (rngsimd::fillPhiloxWide) when the host can run it, and the
+  /// unaligned entry draw and the sub-group tail run the scalar block.
   void fillUniforms(double *Out, size_t Count) override;
 
   const char *name() const override { return "philox"; }
@@ -93,8 +115,8 @@ public:
   uint64_t key() const { return (uint64_t(KeyHi) << 32) | KeyLo; }
 
 private:
-  /// Bijects block \p BlockIndex through the ten Philox rounds into
-  /// Cached[0..1] and records the index in CachedBlock.
+  /// Bijects block \p BlockIndex through philox4x32Block into Cached[0..1]
+  /// and records the index in CachedBlock.
   void computeBlock(UInt128 BlockIndex);
 
   uint32_t KeyLo;
@@ -102,7 +124,7 @@ private:
   UInt128 Position;              ///< next draw index
   UInt128 CachedBlock;           ///< which block Cached[] holds
   bool CacheValid = false;       ///< Cached[]/CachedBlock populated
-  uint64_t Cached[DrawsPerBlock] = {0, 0};
+  std::array<uint64_t, DrawsPerBlock> Cached = {0, 0};
 };
 
 } // namespace parmonc

@@ -21,13 +21,6 @@ UInt128 Lcg128::defaultMultiplier() {
 
 namespace {
 
-/// True when the wide kernel TU is executable on this CPU. Probed once;
-/// when false every batch entry point runs the four-lane oracle instead.
-bool wideKernelEngaged() {
-  static const bool Engaged = rngsimd::runtimeSupportsCompiledBackend();
-  return Engaged;
-}
-
 /// Below this batch size the wide kernel's lane setup (eleven scalar
 /// 128-bit multiplies) is not worth amortizing; the four-lane path wins.
 constexpr size_t WideBatchThreshold = 2 * rngsimd::LaneCount;
@@ -91,7 +84,7 @@ void Lcg128::skip(UInt128 Steps) {
 }
 
 const char *Lcg128::batchKernelName() {
-  if (!wideKernelEngaged())
+  if (!rngsimd::runtimeSupportsCompiledBackend())
     return "four-lane";
   if (rngsimd::CompiledBackend == rngsimd::Backend::Scalar)
     return "scalar-wide";
@@ -99,7 +92,8 @@ const char *Lcg128::batchKernelName() {
 }
 
 void Lcg128::fillBatch(double *Out, size_t Count) {
-  if (Count >= WideBatchThreshold && wideKernelEngaged()) {
+  if (Count >= WideBatchThreshold &&
+      rngsimd::runtimeSupportsCompiledBackend()) {
     UInt128 Current = state();
     rngsimd::fillBatchWide(Current, multiplier(), Out, Count);
     setState(Current);
@@ -109,7 +103,8 @@ void Lcg128::fillBatch(double *Out, size_t Count) {
 }
 
 void Lcg128::fillBatchBits64(uint64_t *Out, size_t Count) {
-  if (Count >= WideBatchThreshold && wideKernelEngaged()) {
+  if (Count >= WideBatchThreshold &&
+      rngsimd::runtimeSupportsCompiledBackend()) {
     UInt128 Current = state();
     rngsimd::fillBatchBits64Wide(Current, multiplier(), Out, Count);
     setState(Current);
@@ -123,7 +118,7 @@ void Lcg128::fillBlockLeap(double *Out, size_t BlockCount,
   PARMONC_ASSERT(LeapMultiplier.bit(0),
                  "block-leap multiplier must be odd (a power of A)");
   if (BlockCount >= rngsimd::LaneCount && DrawsPerBlock > 0 &&
-      wideKernelEngaged()) {
+      rngsimd::runtimeSupportsCompiledBackend()) {
     UInt128 Current = state();
     rngsimd::fillBlockLeapWide(Current, multiplier(), Out, BlockCount,
                                DrawsPerBlock, LeapMultiplier);

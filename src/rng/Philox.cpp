@@ -6,46 +6,36 @@
 
 #include "parmonc/rng/Philox.h"
 
+#include "parmonc/rng/SimdKernels.h"
 #include "parmonc/support/Contract.h"
 
 #include <algorithm>
 
 namespace parmonc {
 
-namespace {
-
-inline uint32_t mulHi32(uint32_t A, uint32_t B) {
-  return uint32_t((uint64_t(A) * uint64_t(B)) >> 32);
-}
-
-} // namespace
-
-void Philox::computeBlock(UInt128 BlockIndex) {
-  // Round constants from Salmon et al., SC'11 (the Random123 reference).
-  constexpr uint32_t MultiplierA = 0xD2511F53u;
-  constexpr uint32_t MultiplierB = 0xCD9E8D57u;
-  constexpr uint32_t KeyBumpA = 0x9E3779B9u; // golden ratio
-  constexpr uint32_t KeyBumpB = 0xBB67AE85u; // sqrt(3) - 1
-
-  uint32_t X0 = uint32_t(BlockIndex.low());
-  uint32_t X1 = uint32_t(BlockIndex.low() >> 32);
-  uint32_t X2 = uint32_t(BlockIndex.high());
-  uint32_t X3 = uint32_t(BlockIndex.high() >> 32);
+std::array<uint64_t, 2> philox4x32Block(uint32_t KeyLo, uint32_t KeyHi,
+                                        UInt128 Counter) {
+  using namespace philox4x32;
+  uint32_t X0 = uint32_t(Counter.low());
+  uint32_t X1 = uint32_t(Counter.low() >> 32);
+  uint32_t X2 = uint32_t(Counter.high());
+  uint32_t X3 = uint32_t(Counter.high() >> 32);
   uint32_t K0 = KeyLo, K1 = KeyHi;
-  for (unsigned Round = 0; Round < 10; ++Round) {
-    const uint32_t HighA = mulHi32(MultiplierA, X0);
-    const uint32_t LowA = MultiplierA * X0;
-    const uint32_t HighB = mulHi32(MultiplierB, X2);
-    const uint32_t LowB = MultiplierB * X2;
-    X0 = HighB ^ X1 ^ K0;
-    X1 = LowB;
-    X2 = HighA ^ X3 ^ K1;
-    X3 = LowA;
+  for (unsigned Round = 0; Round < Rounds; ++Round) {
+    const uint64_t ProductA = uint64_t(MultiplierA) * X0;
+    const uint64_t ProductB = uint64_t(MultiplierB) * X2;
+    X0 = uint32_t(ProductB >> 32) ^ X1 ^ K0;
+    X1 = uint32_t(ProductB);
+    X2 = uint32_t(ProductA >> 32) ^ X3 ^ K1;
+    X3 = uint32_t(ProductA);
     K0 += KeyBumpA;
     K1 += KeyBumpB;
   }
-  Cached[0] = (uint64_t(X1) << 32) | X0;
-  Cached[1] = (uint64_t(X3) << 32) | X2;
+  return {(uint64_t(X1) << 32) | X0, (uint64_t(X3) << 32) | X2};
+}
+
+void Philox::computeBlock(UInt128 BlockIndex) {
+  Cached = philox4x32Block(KeyLo, KeyHi, BlockIndex);
   CachedBlock = BlockIndex;
   CacheValid = true;
 }
@@ -64,8 +54,19 @@ void Philox::fillUniforms(double *Out, size_t Count) {
   // Enter at a block boundary: at most one scalar draw.
   while (Index < Count && (Position.low() & 1) != 0)
     Out[Index++] = nextUniform();
-  // Whole blocks straight into the output. The block function is the same
-  // bijection the scalar path runs, so the stream is bit-identical.
+  // Whole lane groups through the wide kernel. Its block counter starts at
+  // Position >> 1 and wraps at 2^127 exactly as that index does, so the
+  // stream is bit-identical to the scalar path below.
+  const size_t Blocks = (Count - Index) / DrawsPerBlock;
+  const size_t WideBlocks = Blocks - Blocks % rngsimd::PhiloxLaneCount;
+  if (WideBlocks > 0 && rngsimd::runtimeSupportsCompiledBackend()) {
+    rngsimd::fillPhiloxWide(KeyLo, KeyHi, Position >> 1, Out + Index,
+                            WideBlocks);
+    Position += UInt128(WideBlocks * DrawsPerBlock);
+    Index += WideBlocks * DrawsPerBlock;
+  }
+  // The sub-group tail (or everything, on a host that cannot run the
+  // kernel): whole blocks straight into the output, then at most one draw.
   while (Index + DrawsPerBlock <= Count) {
     computeBlock(Position >> 1);
     Out[Index + 0] = bitsToUnitOpen(Cached[0]);

@@ -27,7 +27,9 @@ const char *backendName(Backend Which) {
   return "unknown";
 }
 
-bool runtimeSupportsCompiledBackend() {
+namespace {
+
+bool probeCompiledBackend() {
   switch (CompiledBackend) {
   case Backend::Scalar:
     return true;
@@ -46,6 +48,13 @@ bool runtimeSupportsCompiledBackend() {
 #endif
   }
   return false;
+}
+
+} // namespace
+
+bool runtimeSupportsCompiledBackend() {
+  static const bool Supported = probeCompiledBackend();
+  return Supported;
 }
 
 } // namespace rngsimd

@@ -26,9 +26,12 @@
 
 #include "parmonc/rng/SimdKernels.h"
 
+#include "parmonc/rng/Philox.h"
 #include "parmonc/rng/RandomSource.h"
+#include "parmonc/support/Contract.h"
 
 #include <array>
+#include <bit>
 
 #if !defined(PARMONC_SIMD_FORCE_SCALAR) && defined(__AVX512F__) &&             \
     defined(__AVX512DQ__)
@@ -114,6 +117,72 @@ inline void serialTailBits64(UInt128 &State, UInt128 Multiplier,
 }
 
 } // namespace
+
+// --- Philox: one lane-array source for every backend -----------------------
+
+namespace {
+
+/// bitsToUnitOpen, bit-exact, in a form every backend's flags vectorize:
+/// v = Bits >> 12 < 2^52 converts exactly via the 2^52 exponent-bias trick
+/// (no 64-bit integer-to-double instruction needed before AVX-512DQ), then
+/// the scalar mapping's own (v + 0.5)·2^-52 runs.
+inline double unitOpenExact(uint64_t Bits) {
+  const double V =
+      std::bit_cast<double>((Bits >> 12) | 0x4330000000000000ull) - 0x1p52;
+  return (V + 0.5) * 0x1p-52;
+}
+
+} // namespace
+
+void fillPhiloxWide(uint32_t KeyLo, uint32_t KeyHi, UInt128 FirstBlock,
+                    double *Out, size_t BlockCount) {
+  using namespace philox4x32;
+  constexpr size_t Width = PhiloxLaneCount;
+  PARMONC_ASSERT(BlockCount % Width == 0,
+                 "Philox wide fill takes whole lane groups");
+  const UInt128 BlockMask = UInt128::powerOfTwo(127) - UInt128(1);
+  UInt128 Base = FirstBlock & BlockMask;
+  for (size_t Group = 0; Group < BlockCount; Group += Width) {
+    // Lane j holds the four counter words of block Base + j (mod 2^127):
+    // a lane-wise add with the carry rippled word by word, and the top
+    // word masked to 31 bits so the block after 2^127 - 1 is block 0.
+    uint32_t X0[Width], X1[Width], X2[Width], X3[Width];
+    const uint32_t Word0 = uint32_t(Base.low());
+    const uint32_t Word1 = uint32_t(Base.low() >> 32);
+    const uint32_t Word2 = uint32_t(Base.high());
+    const uint32_t Word3 = uint32_t(Base.high() >> 32);
+    for (size_t J = 0; J < Width; ++J) {
+      X0[J] = Word0 + uint32_t(J);
+      const uint32_t Carry0 = X0[J] < Word0;
+      X1[J] = Word1 + Carry0;
+      const uint32_t Carry1 = Carry0 & (X1[J] == 0);
+      X2[J] = Word2 + Carry1;
+      const uint32_t Carry2 = Carry1 & (X2[J] == 0);
+      X3[J] = (Word3 + Carry2) & 0x7fffffffu;
+    }
+    // The ten rounds, every lane at once: the lanes are independent, so
+    // each round's multiplies run side by side instead of as one chain.
+    uint32_t K0 = KeyLo, K1 = KeyHi;
+    for (unsigned Round = 0; Round < Rounds; ++Round) {
+      for (size_t J = 0; J < Width; ++J) {
+        const uint64_t ProductA = uint64_t(MultiplierA) * X0[J];
+        const uint64_t ProductB = uint64_t(MultiplierB) * X2[J];
+        X0[J] = uint32_t(ProductB >> 32) ^ X1[J] ^ K0;
+        X1[J] = uint32_t(ProductB);
+        X2[J] = uint32_t(ProductA >> 32) ^ X3[J] ^ K1;
+        X3[J] = uint32_t(ProductA);
+      }
+      K0 += KeyBumpA;
+      K1 += KeyBumpB;
+    }
+    double *Draws = Out + Group * Philox::DrawsPerBlock;
+    for (size_t J = 0; J < Width; ++J) {
+      Draws[2 * J] = unitOpenExact((uint64_t(X1[J]) << 32) | X0[J]);
+      Draws[2 * J + 1] = unitOpenExact((uint64_t(X3[J]) << 32) | X2[J]);
+    }
+    Base = (Base + UInt128(Width)) & BlockMask;
+  }
+}
 
 #if defined(PARMONC_SIMD_BACKEND_AVX2)
 

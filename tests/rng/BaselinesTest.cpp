@@ -6,6 +6,8 @@
 
 #include "parmonc/rng/Baselines.h"
 
+#include "parmonc/rng/Philox.h"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -64,6 +66,26 @@ TEST(Philox4x32, SeekToBlockReproducesContinuousStream) {
   Seeked.seekToBlock(2); // skip blocks 0 and 1 == four 64-bit outputs
   EXPECT_EQ(Seeked.nextBits64(), Expected[4]);
   EXPECT_EQ(Seeked.nextBits64(), Expected[5]);
+}
+
+TEST(Philox4x32, IsTheProductionPhiloxStream) {
+  // The baseline and the production backend run one block function, so
+  // under one key they are one stream: equal draws, and seekToBlock(b)
+  // lands where seek(2b) does.
+  for (uint64_t Key : {0ull, 42ull, 0xdeadbeefcafebabeull}) {
+    Philox4x32 Baseline(Key);
+    Philox Production(Key);
+    for (int Draw = 0; Draw < 100000; ++Draw)
+      ASSERT_EQ(Baseline.nextBits64(), Production.nextBits64())
+          << "key " << Key << " draw " << Draw;
+    for (uint64_t Block : {1ull, 7ull, (1ull << 32) + 3, ~0ull}) {
+      Baseline.seekToBlock(Block);
+      Production.seek(UInt128(Block) * UInt128(2));
+      for (int Draw = 0; Draw < 4; ++Draw)
+        ASSERT_EQ(Baseline.nextBits64(), Production.nextBits64())
+            << "key " << Key << " block " << Block << " draw " << Draw;
+    }
+  }
 }
 
 TEST(Randu, MatchesClassicRecurrence) {

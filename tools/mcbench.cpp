@@ -106,6 +106,7 @@ struct RngNumbers {
   double LeapWindowNs = 0.0;
   double LeapSquareMultiplyNs = 0.0;
   bool SimdBitEqual = false;
+  bool PhiloxBitEqual = false;
   uint64_t Draws = 0;
 };
 
@@ -256,6 +257,24 @@ RngNumbers runRngSuite(uint64_t Draws) {
     Checksum ^= uint64_t(Sink * 4096.0) ^ Generator.position().low();
   }
 
+  // The same in-bench oracle for the wide Philox fill: a dispatched fill
+  // entered at an odd position must emit per-draw nextUniform()'s exact
+  // bytes and end at the same position ("philox_bit_equal").
+  {
+    constexpr size_t Count = 4096 + 17;
+    Philox Dispatched(0xdeadbeefcafebabeull);
+    Philox Oracle(0xdeadbeefcafebabeull);
+    Dispatched.seek(UInt128(12345));
+    Oracle.seek(UInt128(12345));
+    std::vector<double> Got(Count), Want(Count);
+    Dispatched.fillUniforms(Got.data(), Count);
+    for (double &Value : Want)
+      Value = Oracle.nextUniform();
+    Numbers.PhiloxBitEqual =
+        std::memcmp(Got.data(), Want.data(), Count * sizeof(double)) == 0 &&
+        Dispatched.position() == Oracle.position();
+  }
+
   // Leap-ahead: the windowed power table against square-and-multiply, over
   // a spread of hierarchy-scale exponents. Stream creation and cursor
   // striding pay exactly this cost per leap.
@@ -295,6 +314,8 @@ std::string rngJson(const RngNumbers &Numbers, bool Smoke) {
           "\",\n";
   Json += std::string("  \"simd_bit_equal\": ") +
           (Numbers.SimdBitEqual ? "true" : "false") + ",\n";
+  Json += std::string("  \"philox_bit_equal\": ") +
+          (Numbers.PhiloxBitEqual ? "true" : "false") + ",\n";
   Json += "  \"draws\": " + std::to_string(Numbers.Draws) + ",\n";
   Json += "  \"results\": {\n";
   Json += "    \"mul128_fast_ns_per_op\": " +
