@@ -68,13 +68,15 @@ struct MomentSnapshot {
   std::string toFileContents() const;
 
   /// Parses the text snapshot format.
-  [[nodiscard]] static Result<MomentSnapshot> fromFileContents(std::string_view Contents);
+  [[nodiscard]] static Result<MomentSnapshot>
+  fromFileContents(std::string_view Contents);
 
   /// Serializes to the compact binary form used for mailbox messages.
   std::vector<uint8_t> toBytes() const;
 
   /// Parses the binary message form.
-  [[nodiscard]] static Result<MomentSnapshot> fromBytes(const std::vector<uint8_t> &Bytes);
+  [[nodiscard]] static Result<MomentSnapshot>
+  fromBytes(const std::vector<uint8_t> &Bytes);
 
   /// Accumulates \p Other into this snapshot: moment sums, histogram
   /// counts and compute seconds add; the sequence number stays. Fails when
@@ -159,7 +161,8 @@ public:
   /// Reads one snapshot file, verifying the seal when present (files from
   /// before the seal era still load). A corrupted file is an IoError and
   /// is never parsed into moments.
-  [[nodiscard]] Result<MomentSnapshot> readSnapshot(const std::string &Path) const;
+  [[nodiscard]] Result<MomentSnapshot>
+  readSnapshot(const std::string &Path) const;
 
   /// readSnapshot result plus where the data actually came from.
   struct RecoveredSnapshot {
@@ -174,8 +177,9 @@ public:
   readSnapshotWithFallback(const std::string &Path) const;
 
   /// Writes func.dat, func_ci.dat and func_log.dat from the merged moments.
-  [[nodiscard]] Status writeResults(const EstimatorMatrix &Merged, const RunLogInfo &Log,
-                      double ErrorMultiplier) const;
+  [[nodiscard]] Status writeResults(const EstimatorMatrix &Merged,
+                                    const RunLogInfo &Log,
+                                    double ErrorMultiplier) const;
 
   /// Appends one line to parmonc_exp.dat describing a started experiment.
   /// The append is durable (O_APPEND + fsync) and each line carries its own
@@ -208,7 +212,8 @@ public:
   [[nodiscard]] Result<ExperimentLogContents> readExperimentLog() const;
 
   /// Reads the means matrix back from func.dat (tests, manaver, tools).
-  [[nodiscard]] Result<std::vector<double>> readMeans(size_t Rows, size_t Columns) const;
+  [[nodiscard]] Result<std::vector<double>> readMeans(size_t Rows,
+                                                      size_t Columns) const;
 
   /// Lists the rank subtotal files currently present, as (rank, path).
   std::vector<std::pair<int, std::string>> listSubtotalFiles() const;

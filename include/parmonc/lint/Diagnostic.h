@@ -85,8 +85,7 @@ struct Diagnostic {
 std::string formatDiagnostic(const Diagnostic &Diag, bool AsError);
 
 /// Sorts by (path, line, rule id, column, message) — a total order, so
-/// output is byte-identical regardless of rule execution order or --jobs
-/// count.
+/// output is byte-identical regardless of rule execution order.
 void sortDiagnostics(std::vector<Diagnostic> &Diags);
 
 } // namespace lint

@@ -138,12 +138,9 @@ public:
     (void)Out;
   }
 
-  /// True when every diagnostic this rule emits depends only on the file
-  /// it names plus the LintContext (whose fingerprint is part of the
-  /// incremental cache key); such diagnostics are safe to reuse from the
-  /// cache when both the content hash and the context hash match. False
-  /// for rules that walk the whole project index (R9) or are synthesized
-  /// by the analyzer (R10).
+  /// True when the rule runs per file through check(), seeing one file
+  /// plus the LintContext. False for rules that walk the whole project
+  /// index (R9) or are synthesized by the analyzer (R10).
   virtual bool isPerFile() const { return true; }
 };
 
@@ -169,6 +166,13 @@ std::set<std::string, std::less<>> builtinFallibleFunctions();
 /// Adds every function \p File declares [[nodiscard]] to \p Names.
 void harvestNodiscardFunctions(const SourceFile &File,
                                std::set<std::string, std::less<>> &Names);
+
+/// The callee of a bare call statement, or empty: a plain CFG statement
+/// led by a non-keyword identifier, with no top-level assignment, that
+/// opens with a call chain `name ((:: | . | ->) name)* (`. Sets
+/// \p OpenParen to the chain's '('. R11's discard check and R16 share it.
+std::string_view bareCallCallee(const std::vector<Token> &Tokens,
+                                const CfgStatement &Stmt, size_t &OpenParen);
 
 /// True when \p Text contains \p Token bounded by non-identifier chars.
 /// Returns the offset of the first such occurrence, or npos.

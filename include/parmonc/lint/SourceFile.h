@@ -16,11 +16,12 @@
 /// Waivers: a comment holding an `allow(Rn)` directive after the `mclint:`
 /// marker suppresses the named rule(s) on the lines the comment spans — or
 /// on the next line when the comment stands alone — and an `allow-file(Rn)`
-/// directive suppresses them for the whole file. Because waivers are parsed from comment tokens only, a
-/// waiver-shaped string inside a raw string literal is never honored, and
-/// a line comment continued with a backslash splice is honored once for
-/// its whole physical extent. Waivers are the escape hatch for reviewed
-/// exceptions and are themselves audited by rule R10 (stale-waiver).
+/// directive suppresses them for the whole file. Because waivers are
+/// parsed from comment tokens only, a waiver-shaped string inside a raw
+/// string literal is never honored, and a line comment continued with a
+/// backslash splice is honored once for its whole physical extent.
+/// Waivers are the escape hatch for reviewed exceptions and are themselves
+/// audited by rule R10 (stale-waiver).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -94,8 +95,7 @@ public:
 
   /// Control-flow graphs of every function defined in this file, built
   /// lazily on first use and cached. Only the flow-sensitive rules pay for
-  /// CFG construction; token-level rules never touch it. Not synchronized:
-  /// each file is analyzed by exactly one worker at a time.
+  /// CFG construction; token-level rules never touch it. Not synchronized.
   const std::vector<FunctionCfg> &functions() const;
 
   /// True when \p RuleId is waived on 0-based line \p Index (line waiver,

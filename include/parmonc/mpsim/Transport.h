@@ -69,7 +69,8 @@ struct ProcessRankStatus {
 /// die with the workers' address spaces.
 struct EngineReport {
   bool StopOnTimeLimit = false;   ///< some rank broadcast StopReason::TimeLimit
-  bool StopOnErrorTarget = false; ///< some rank broadcast StopReason::ErrorTarget
+  bool StopOnErrorTarget = false; ///< some rank broadcast
+                                  ///< StopReason::ErrorTarget
   uint64_t BytesTransferred = 0;  ///< payload bytes moved between ranks
   int64_t ChildFailedSends = 0;   ///< sum of worker-process FailedSends
   std::vector<ProcessRankStatus> Ranks; ///< Processes only: ranks 1..N-1

@@ -143,7 +143,8 @@ struct MetricsSnapshot {
   std::string toFileContents() const;
 
   /// Parses the toFileContents() format (mcstat, tests).
-  [[nodiscard]] static Result<MetricsSnapshot> fromFileContents(std::string_view Contents);
+  [[nodiscard]] static Result<MetricsSnapshot>
+  fromFileContents(std::string_view Contents);
 
   /// JSON object rendering, for machine consumers.
   std::string toJson() const;

@@ -1,4 +1,4 @@
-//===- parmonc/parmonc.h - Umbrella header ---------------------------------===//
+//===- parmonc/parmonc.h - Umbrella header --------------------------------===//
 //
 // Part of the PARMONC reproduction library.
 //

@@ -108,7 +108,8 @@ public:
   /// Parses a parmonc_genparam.dat and revalidates the multipliers against
   /// the recorded exponents, so a corrupted file cannot silently produce
   /// overlapping streams.
-  [[nodiscard]] static Result<LeapTable> fromFileContents(std::string_view Contents);
+  [[nodiscard]] static Result<LeapTable>
+  fromFileContents(std::string_view Contents);
 
   /// Loads from \p Path if the file exists, otherwise returns the default
   /// table — matching the library behaviour described in §3.5.

@@ -96,7 +96,8 @@ double sampleLognormal(RandomSource &Source, double MeanLog, double SdLog);
 /// In-place lower Cholesky factor of a symmetric positive-definite matrix
 /// (row-major d x d). Fails on non-positive-definite input. The strict
 /// upper triangle of the output is zeroed.
-[[nodiscard]] Status choleskyFactor(std::vector<double> &Matrix, size_t Dimension);
+[[nodiscard]] Status choleskyFactor(std::vector<double> &Matrix,
+                                    size_t Dimension);
 
 /// Correlated normal vectors: X = Mean + L Z with L a lower-triangular
 /// factor (e.g. from choleskyFactor) and Z i.i.d. standard normal. The

@@ -81,10 +81,9 @@ public:
   const std::vector<double> &squareSums() const { return SumSquares; }
 
   /// Rebuilds an accumulator from checkpointed raw sums.
-  [[nodiscard]] static Result<EstimatorMatrix> fromRawSums(size_t Rows, size_t Columns,
-                                             std::vector<double> ValueSums,
-                                             std::vector<double> SquareSums,
-                                             int64_t Volume);
+  [[nodiscard]] static Result<EstimatorMatrix>
+  fromRawSums(size_t Rows, size_t Columns, std::vector<double> ValueSums,
+              std::vector<double> SquareSums, int64_t Volume);
 
   /// Derived statistics of entry (\p Row, \p Column). Requires a positive
   /// sample volume. \p ErrorMultiplier is γ(λ); the default is the paper's

@@ -67,7 +67,8 @@ bool startsWith(std::string_view Text, std::string_view Prefix);
 /// sibling temp file, fsync, rename, fsync the directory). Used for
 /// save-points so a crash mid-write never corrupts previous results — a
 /// requirement for the paper's resumption feature.
-[[nodiscard]] Status writeFileAtomic(const std::string &Path, std::string_view Contents);
+[[nodiscard]] Status writeFileAtomic(const std::string &Path,
+                                     std::string_view Contents);
 
 /// Fsyncs the regular file at \p Path (platform-guarded; a no-op where
 /// the platform offers no fsync). Used to make an already-renamed file's

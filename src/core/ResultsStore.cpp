@@ -656,9 +656,9 @@ std::string histogramPath(const ResultsStore &Store, size_t Row,
          std::to_string(Column + 1) + ".dat";
 }
 
-Result<MomentSnapshot> runManualAverage(const ResultsStore &Store,
-                                        double ErrorMultiplier,
-                                        std::vector<std::string> *RecoveredPaths) {
+Result<MomentSnapshot>
+runManualAverage(const ResultsStore &Store, double ErrorMultiplier,
+                 std::vector<std::string> *RecoveredPaths) {
   // Start from the base (resumed) moments if present, else from scratch
   // with the shape of the first subtotal.
   const auto SubtotalFiles = Store.listSubtotalFiles();

@@ -29,7 +29,7 @@ std::string formatDiagnostic(const Diagnostic &Diag, bool AsError) {
 void sortDiagnostics(std::vector<Diagnostic> &Diags) {
   // A total order — column and message break (path, line, rule) ties — so
   // the output (and through it `--fix` edit application) is byte-identical
-  // at any --jobs count and across rule registration order changes.
+  // across rule registration order changes.
   std::stable_sort(
       Diags.begin(), Diags.end(),
       [](const Diagnostic &A, const Diagnostic &B) {

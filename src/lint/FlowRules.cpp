@@ -436,20 +436,8 @@ private:
                      std::vector<Diagnostic> &Out) const {
     const std::vector<Token> &Tokens = File.tokens();
     for (const CfgStatement &Stmt : Cfg.Statements) {
-      if (Stmt.Kind != StmtKind::Plain)
-        continue;
-      const size_t First =
-          skipCommentTokens(Tokens, Stmt.TokenBegin, Stmt.TokenEnd);
-      if (First >= Stmt.TokenEnd ||
-          Tokens[First].Kind != TokenKind::Identifier)
-        continue; // `(void)f()` and other cast-led statements start with '('
-      if (isStatementKeywordName(Tokens[First].Text))
-        continue;
-      if (tokensHaveTopLevelAssignment(Tokens, Stmt))
-        continue;
       size_t OpenParen = 0;
-      const std::string_view Callee =
-          parseCallChain(Tokens, First, Stmt.TokenEnd, OpenParen);
+      const std::string_view Callee = bareCallCallee(Tokens, Stmt, OpenParen);
       if (Callee.empty() || Context.NodiscardFunctions.find(Callee) ==
                                 Context.NodiscardFunctions.end())
         continue;
@@ -1256,6 +1244,20 @@ private:
 };
 
 } // namespace
+
+std::string_view bareCallCallee(const std::vector<Token> &Tokens,
+                                const CfgStatement &Stmt, size_t &OpenParen) {
+  if (Stmt.Kind != StmtKind::Plain)
+    return {};
+  const size_t First =
+      skipCommentTokens(Tokens, Stmt.TokenBegin, Stmt.TokenEnd);
+  if (First >= Stmt.TokenEnd || Tokens[First].Kind != TokenKind::Identifier)
+    return {}; // `(void)f()` and other cast-led statements start with '('
+  if (isStatementKeywordName(Tokens[First].Text) ||
+      tokensHaveTopLevelAssignment(Tokens, Stmt))
+    return {};
+  return parseCallChain(Tokens, First, Stmt.TokenEnd, OpenParen);
+}
 
 std::unique_ptr<Rule> makeMustCheckRule() {
   return std::make_unique<MustCheckRule>();

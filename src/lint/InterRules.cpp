@@ -35,9 +35,6 @@
 #include "parmonc/lint/Rules.h"
 #include "parmonc/lint/Summary.h"
 
-#include <algorithm>
-#include <array>
-
 namespace parmonc {
 namespace lint {
 
@@ -56,55 +53,6 @@ size_t skipCommentTokens(const std::vector<Token> &Tokens, size_t I,
 
 size_t nextCodeTok(const std::vector<Token> &Tokens, size_t I, size_t End) {
   return skipCommentTokens(Tokens, I + 1, End);
-}
-
-bool isStatementKeywordName(std::string_view Name) {
-  static constexpr std::array<std::string_view, 19> Keywords = {
-      "return",   "if",       "while",    "for",     "switch",
-      "else",     "do",       "case",     "goto",    "co_return",
-      "co_yield", "co_await", "throw",    "using",   "typedef",
-      "template", "delete",   "static_assert", "new"};
-  return std::find(Keywords.begin(), Keywords.end(), Name) != Keywords.end();
-}
-
-/// Parses a call chain `name ((:: | . | ->) name)*` stopping at the first
-/// '('. Returns the final callee name, or empty. (Same shape as the
-/// FlowRules parser; kept local so the two stages stay independent.)
-std::string_view parseCallChain(const std::vector<Token> &Tokens, size_t I,
-                                size_t End, size_t &OpenParen) {
-  std::string_view Callee;
-  while (I < End) {
-    if (Tokens[I].Kind != TokenKind::Identifier)
-      return {};
-    Callee = Tokens[I].Text;
-    I = nextCodeTok(Tokens, I, End);
-    if (I >= End)
-      return {};
-    if (isPunctTok(Tokens[I], '(')) {
-      OpenParen = I;
-      return Callee;
-    }
-    if (isPunctTok(Tokens[I], ':')) {
-      const size_t Second = nextCodeTok(Tokens, I, End);
-      if (Second >= End || !isPunctTok(Tokens[Second], ':'))
-        return {};
-      I = nextCodeTok(Tokens, Second, End);
-      continue;
-    }
-    if (isPunctTok(Tokens[I], '.')) {
-      I = nextCodeTok(Tokens, I, End);
-      continue;
-    }
-    if (isPunctTok(Tokens[I], '-')) {
-      const size_t Second = nextCodeTok(Tokens, I, End);
-      if (Second >= End || !isPunctTok(Tokens[Second], '>'))
-        return {};
-      I = nextCodeTok(Tokens, Second, End);
-      continue;
-    }
-    return {};
-  }
-  return {};
 }
 
 bool tokensHaveTopLevelAssignment(const std::vector<Token> &Tokens,
@@ -658,23 +606,15 @@ public:
       if (!Cfg.analyzable())
         continue;
       for (const CfgStatement &Stmt : Cfg.Statements) {
-        if (Stmt.Kind != StmtKind::Plain)
+        // A spelled `(void)f()` discard is no bare call here either.
+        size_t OpenParen = 0;
+        const std::string_view Callee =
+            bareCallCallee(Tokens, Stmt, OpenParen);
+        if (Callee.empty())
           continue;
         const size_t First =
             skipCommentTokens(Tokens, Stmt.TokenBegin, Stmt.TokenEnd);
-        if (First >= Stmt.TokenEnd ||
-            Tokens[First].Kind != TokenKind::Identifier)
-          continue; // `(void)f()` statements start with '(' — a spelled
-                    // discard stays a discard here too
-        if (isStatementKeywordName(Tokens[First].Text) ||
-            isMacroStyleName(Tokens[First].Text))
-          continue;
-        if (tokensHaveTopLevelAssignment(Tokens, Stmt))
-          continue;
-        size_t OpenParen = 0;
-        const std::string_view Callee =
-            parseCallChain(Tokens, First, Stmt.TokenEnd, OpenParen);
-        if (Callee.empty())
+        if (isMacroStyleName(Tokens[First].Text))
           continue;
         // The call must be the whole statement: `f().ok();` consumes.
         const size_t Close =

@@ -217,8 +217,8 @@ inline void step4(__m256i &Lo, __m256i &Hi, const VecMultiplier &M) {
   const __m256i T = _mm256_mul_epu32(Lo, M.LoLo);
   const __m256i T1 =
       _mm256_add_epi64(_mm256_mul_epu32(U1, M.LoLo), _mm256_srli_epi64(T, 32));
-  const __m256i T2 =
-      _mm256_add_epi64(_mm256_mul_epu32(Lo, M.LoHi), _mm256_and_si256(T1, MaskV));
+  const __m256i T2 = _mm256_add_epi64(_mm256_mul_epu32(Lo, M.LoHi),
+                                      _mm256_and_si256(T1, MaskV));
   const __m256i HiWide = _mm256_add_epi64(
       _mm256_mul_epu32(U1, M.LoHi),
       _mm256_add_epi64(_mm256_srli_epi64(T1, 32), _mm256_srli_epi64(T2, 32)));
@@ -277,10 +277,14 @@ void fillBatchWide(UInt128 &State, UInt128 Multiplier, double *Out,
     // Four independent register groups: one group's step4 depends on its
     // own previous step4, so a lone group is latency-bound; four in
     // flight keep the vector multipliers saturated.
-    __m256i Lo0 = loadLow4(Setup.Lane.data(), 0), Hi0 = loadHigh4(Setup.Lane.data(), 0);
-    __m256i Lo1 = loadLow4(Setup.Lane.data(), 4), Hi1 = loadHigh4(Setup.Lane.data(), 4);
-    __m256i Lo2 = loadLow4(Setup.Lane.data(), 8), Hi2 = loadHigh4(Setup.Lane.data(), 8);
-    __m256i Lo3 = loadLow4(Setup.Lane.data(), 12), Hi3 = loadHigh4(Setup.Lane.data(), 12);
+    __m256i Lo0 = loadLow4(Setup.Lane.data(), 0),
+            Hi0 = loadHigh4(Setup.Lane.data(), 0);
+    __m256i Lo1 = loadLow4(Setup.Lane.data(), 4),
+            Hi1 = loadHigh4(Setup.Lane.data(), 4);
+    __m256i Lo2 = loadLow4(Setup.Lane.data(), 8),
+            Hi2 = loadHigh4(Setup.Lane.data(), 8);
+    __m256i Lo3 = loadLow4(Setup.Lane.data(), 12),
+            Hi3 = loadHigh4(Setup.Lane.data(), 12);
     for (;;) {
       _mm256_storeu_pd(Out + Index, toUnitOpen4(Hi0));
       _mm256_storeu_pd(Out + Index + 4, toUnitOpen4(Hi1));
@@ -308,10 +312,14 @@ void fillBatchBits64Wide(UInt128 &State, UInt128 Multiplier, uint64_t *Out,
     const LaneSetup<LaneCount> Setup =
         makeLaneSetup<LaneCount>(State, Multiplier);
     const VecMultiplier Step = broadcastMultiplier(Setup.Step);
-    __m256i Lo0 = loadLow4(Setup.Lane.data(), 0), Hi0 = loadHigh4(Setup.Lane.data(), 0);
-    __m256i Lo1 = loadLow4(Setup.Lane.data(), 4), Hi1 = loadHigh4(Setup.Lane.data(), 4);
-    __m256i Lo2 = loadLow4(Setup.Lane.data(), 8), Hi2 = loadHigh4(Setup.Lane.data(), 8);
-    __m256i Lo3 = loadLow4(Setup.Lane.data(), 12), Hi3 = loadHigh4(Setup.Lane.data(), 12);
+    __m256i Lo0 = loadLow4(Setup.Lane.data(), 0),
+            Hi0 = loadHigh4(Setup.Lane.data(), 0);
+    __m256i Lo1 = loadLow4(Setup.Lane.data(), 4),
+            Hi1 = loadHigh4(Setup.Lane.data(), 4);
+    __m256i Lo2 = loadLow4(Setup.Lane.data(), 8),
+            Hi2 = loadHigh4(Setup.Lane.data(), 8);
+    __m256i Lo3 = loadLow4(Setup.Lane.data(), 12),
+            Hi3 = loadHigh4(Setup.Lane.data(), 12);
     for (;;) {
       _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + Index), Hi0);
       _mm256_storeu_si256(reinterpret_cast<__m256i *>(Out + Index + 4), Hi1);
@@ -351,7 +359,8 @@ void fillBlockLeapWide(UInt128 &State, UInt128 Multiplier, double *Out,
       __m256i Lo0 = loadLow4(Start.data(), 0), Hi0 = loadHigh4(Start.data(), 0);
       __m256i Lo1 = loadLow4(Start.data(), 4), Hi1 = loadHigh4(Start.data(), 4);
       __m256i Lo2 = loadLow4(Start.data(), 8), Hi2 = loadHigh4(Start.data(), 8);
-      __m256i Lo3 = loadLow4(Start.data(), 12), Hi3 = loadHigh4(Start.data(), 12);
+      __m256i Lo3 = loadLow4(Start.data(), 12),
+              Hi3 = loadHigh4(Start.data(), 12);
       double *Base = Out + Block * DrawsPerBlock;
       alignas(32) double Tmp[LaneCount];
       for (size_t Draw = 0; Draw < DrawsPerBlock; ++Draw) {

@@ -128,7 +128,8 @@ TEST(CApi, ParmonccMatrixAndResumeFlow) {
 
   ResultsStore Store(Dir.path());
   Result<MomentSnapshot> Checkpoint =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   ASSERT_TRUE(Checkpoint.isOk());
   EXPECT_EQ(Checkpoint.value().Moments.sampleVolume(), 4000);
   Result<std::vector<double>> Means = Store.readMeans(1, 2);

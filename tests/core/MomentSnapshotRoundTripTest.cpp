@@ -1,4 +1,4 @@
-//===- tests/core/MomentSnapshotRoundTripTest.cpp - Serialization property -===//
+//===- tests/core/MomentSnapshotRoundTripTest.cpp - Serialization property ===//
 //
 // Part of the PARMONC reproduction library.
 //

@@ -117,7 +117,8 @@ TEST(ResultsStore, SnapshotFileRoundTripOnDisk) {
   MomentSnapshot Original = makeSnapshot();
   ASSERT_TRUE(Store.writeSnapshot(Store.checkpointPath(), Original).isOk());
   Result<MomentSnapshot> Read =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   ASSERT_TRUE(Read.isOk());
   EXPECT_EQ(Read.value().Moments.valueSums(), Original.Moments.valueSums());
 }
@@ -374,7 +375,8 @@ TEST(ManualAverage, MergesBaseAndSubtotals) {
   // Results and a fresh checkpoint are on disk.
   EXPECT_TRUE(fileExists(Store.meansPath()));
   Result<MomentSnapshot> Checkpoint =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   ASSERT_TRUE(Checkpoint.isOk());
   EXPECT_EQ(Checkpoint.value().Moments.sampleVolume(), 4);
 }

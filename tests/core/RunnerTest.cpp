@@ -206,7 +206,8 @@ TEST(Runner, ResumeAccumulatesVolumeExactly) {
   // The checkpoint reflects the accumulated state.
   ResultsStore Store(Dir.path());
   Result<MomentSnapshot> Checkpoint =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   ASSERT_TRUE(Checkpoint.isOk());
   EXPECT_EQ(Checkpoint.value().Moments.sampleVolume(), 5000);
 }

@@ -79,7 +79,8 @@ MomentSnapshot runAndLoad(const RunConfig &Config, RunReport *ReportOut) {
     *ReportOut = Outcome.value();
   ResultsStore Store(Config.WorkDir);
   Result<MomentSnapshot> Snapshot =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   EXPECT_TRUE(Snapshot.isOk()) << Snapshot.status().toString();
   return std::move(Snapshot).value();
 }

@@ -136,7 +136,8 @@ TEST(FaultTrace, CorruptedCheckpointWriteIsHealedByTheNextRotation) {
   EXPECT_EQ(Run.Report.TotalSampleVolume, 40);
   ResultsStore Store(Dir.path());
   Result<MomentSnapshot> Final =
-      Store.readSnapshot(Store.checkpointPath()); // mclint: allow(R7): asserting on the sealed generation directly
+      // mclint: allow(R7): asserting on the sealed generation directly
+      Store.readSnapshot(Store.checkpointPath());
   ASSERT_TRUE(Final.isOk()) << Final.status().toString();
   EXPECT_EQ(Final.value().Moments.sampleVolume(), 40);
 }

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cctype>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -587,8 +588,8 @@ TEST(LintRulesTest, BuiltinListMatchesHeaders) {
   // has gone stale against an API rename.
   std::set<std::string, std::less<>> Harvested;
   namespace fs = std::filesystem;
-  for (const auto &Entry :
-       fs::recursive_directory_iterator(std::string(PARMONC_LINT_INCLUDE_DIR))) {
+  for (const auto &Entry : fs::recursive_directory_iterator(
+           std::string(PARMONC_LINT_INCLUDE_DIR))) {
     if (!Entry.is_regular_file())
       continue;
     const std::string Ext = Entry.path().extension().string();
@@ -650,6 +651,35 @@ TEST(LintRulesTest, EmptyPathListIsAnError) {
   Result<LintReport> Report = runAnalyzer(Options);
   ASSERT_FALSE(Report);
   EXPECT_NE(Report.status().message().find("no paths"), std::string::npos);
+}
+
+TEST(LintRulesTest, BareCallCalleeSeesOnlyWholeCallStatements) {
+  // The statement shape R11's discard check and R16 share.
+  const SourceFile File("bare.cpp", "void f() {\n"
+                                    "  save();\n"
+                                    "  /* lead */ Store.flush(Path);\n"
+                                    "  ns::Obj->write();\n"
+                                    "  (void)save();\n"
+                                    "  Slot() = save();\n"
+                                    "  Status S = save();\n"
+                                    "  static_assert(true);\n"
+                                    "  return save();\n"
+                                    "}\n");
+  std::map<uint32_t, std::string> CalleeByLine;
+  for (const FunctionCfg &Cfg : File.functions())
+    for (const CfgStatement &Stmt : Cfg.Statements) {
+      size_t OpenParen = 0;
+      const std::string_view Callee =
+          bareCallCallee(File.tokens(), Stmt, OpenParen);
+      if (!Callee.empty()) {
+        EXPECT_EQ(File.tokens()[OpenParen].Text, "(");
+      }
+      CalleeByLine[Stmt.Line] = std::string(Callee);
+    }
+  const std::map<uint32_t, std::string> Expected = {
+      {1, "save"}, {2, "flush"}, {3, "write"}, {4, ""},
+      {5, ""},     {6, ""},      {7, ""},      {8, ""}};
+  EXPECT_EQ(CalleeByLine, Expected);
 }
 
 } // namespace

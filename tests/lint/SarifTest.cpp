@@ -131,7 +131,8 @@ private:
         const char E = Text[Pos];
         if (E == 'u') {
           for (int I = 0; I < 4; ++I)
-            if (++Pos >= Text.size() || !std::isxdigit(static_cast<unsigned char>(Text[Pos])))
+            if (++Pos >= Text.size() ||
+                !std::isxdigit(static_cast<unsigned char>(Text[Pos])))
               return false;
         } else if (std::string_view("\"\\/bfnrt").find(E) ==
                    std::string_view::npos) {

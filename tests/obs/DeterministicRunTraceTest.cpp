@@ -1,4 +1,4 @@
-//===- tests/obs/DeterministicRunTraceTest.cpp - Fake-clock trace harness --===//
+//===- tests/obs/DeterministicRunTraceTest.cpp - Fake-clock trace harness -===//
 //
 // Part of the PARMONC reproduction library.
 //
