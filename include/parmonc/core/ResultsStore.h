@@ -78,6 +78,14 @@ struct MomentSnapshot {
   [[nodiscard]] static Result<MomentSnapshot>
   fromBytes(const std::vector<uint8_t> &Bytes);
 
+  /// Checks the binary message form without decoding or allocating: every
+  /// section complete and nothing after the last, the shape \p Rows x
+  /// \p Columns, a non-negative volume and non-negative square sums.
+  /// Histogram text is left to fromBytes. A rejection has the error kind
+  /// fromBytes would return; a pass returns the sample volume.
+  [[nodiscard]] static Result<int64_t>
+  checkBytes(const std::vector<uint8_t> &Bytes, size_t Rows, size_t Columns);
+
   /// Accumulates \p Other into this snapshot: moment sums, histogram
   /// counts and compute seconds add; the sequence number stays. Fails when
   /// the shapes or histogram geometries disagree — discard *this then, it

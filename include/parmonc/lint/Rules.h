@@ -167,6 +167,21 @@ std::set<std::string, std::less<>> builtinFallibleFunctions();
 void harvestNodiscardFunctions(const SourceFile &File,
                                std::set<std::string, std::less<>> &Names);
 
+/// True when \p T is the single-character punctuator \p C.
+bool isPunctTok(const Token &T, char C);
+
+/// First non-comment token index in [I, End), or End.
+size_t skipCommentTokens(const std::vector<Token> &Tokens, size_t I,
+                         size_t End);
+
+/// First non-comment token index in (I, End), or End.
+size_t nextCodeTok(const std::vector<Token> &Tokens, size_t I, size_t End);
+
+/// True when the statement's tokens contain a top-level '=' assignment
+/// (outside any parens/brackets/braces, not part of ==/!=/<=/>=).
+bool tokensHaveTopLevelAssignment(const std::vector<Token> &Tokens,
+                                  const CfgStatement &Stmt);
+
 /// The callee of a bare call statement, or empty: a plain CFG statement
 /// led by a non-keyword identifier, with no top-level assignment, that
 /// opens with a call chain `name ((:: | . | ->) name)* (`. Sets

@@ -70,10 +70,14 @@ using SendFaultHook = std::function<SendFault(int, int, int)>;
 /// One rank's incoming queue. Thread-safe multi-producer/single-consumer.
 class Mailbox {
 public:
-  /// Enqueues a message (called by any sender thread). Messages pushed
-  /// after close() are dropped — the backend is tearing down and nobody
-  /// will ever pop them.
-  void push(Message Incoming);
+  /// Enqueues a message (called by any sender thread) and returns the
+  /// queue depth after it. Messages pushed after close() are dropped — the
+  /// backend is tearing down and nobody will ever pop them.
+  size_t push(Message Incoming);
+
+  /// Enqueues every message of \p Batch in order under one lock and one
+  /// wakeup, leaving \p Batch empty; otherwise as push().
+  size_t pushAll(std::vector<Message> &Batch);
 
   /// Removes and returns the oldest message whose tag matches \p Tag, or
   /// any message when \p Tag is negative. Non-blocking; empty optional if

@@ -46,16 +46,28 @@ public:
     writeU64(Bits);
   }
 
+  /// The count, then every value in one pass over the grown buffer.
   void writeDoubleVector(const std::vector<double> &Values) {
     writeU64(Values.size());
-    for (double Value : Values)
-      writeDouble(Value);
+    const size_t Start = Buffer.size();
+    Buffer.resize(Start + 8 * Values.size());
+    uint8_t *Out = Buffer.data() + Start;
+    for (double Value : Values) {
+      uint64_t Bits;
+      std::memcpy(&Bits, &Value, sizeof(Bits));
+      for (int Byte = 0; Byte < 8; ++Byte)
+        *Out++ = uint8_t(Bits >> (8 * Byte));
+    }
   }
 
   void writeString(const std::string &Text) {
     writeU64(Text.size());
     Buffer.insert(Buffer.end(), Text.begin(), Text.end());
   }
+
+  /// Reserves room for \p Bytes in total, so a writer that knows its
+  /// final size allocates once.
+  void reserve(size_t Bytes) { Buffer.reserve(Bytes); }
 
   const std::vector<uint8_t> &bytes() const { return Buffer; }
   std::vector<uint8_t> takeBytes() { return std::move(Buffer); }

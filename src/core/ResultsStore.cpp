@@ -13,6 +13,7 @@
 #include "parmonc/support/Text.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 
 namespace parmonc {
@@ -174,7 +175,17 @@ Result<MomentSnapshot> MomentSnapshot::fromFileContents(
 }
 
 std::vector<uint8_t> MomentSnapshot::toBytes() const {
+  // Exact size: five header words, two counted double vectors, the
+  // histogram count and each length-prefixed histogram text.
+  std::vector<std::string> HistogramTexts;
+  HistogramTexts.reserve(Histograms.size());
+  size_t Size = 8 * 8 + 2 * 8 * Moments.valueSums().size();
+  for (const HistogramEstimator &Histogram : Histograms) {
+    HistogramTexts.push_back(Histogram.toFileContents());
+    Size += 8 + HistogramTexts.back().size();
+  }
   ByteWriter Writer;
+  Writer.reserve(Size);
   Writer.writeU64(SequenceNumber);
   Writer.writeU64(Moments.rows());
   Writer.writeU64(Moments.columns());
@@ -183,9 +194,80 @@ std::vector<uint8_t> MomentSnapshot::toBytes() const {
   Writer.writeDoubleVector(Moments.valueSums());
   Writer.writeDoubleVector(Moments.squareSums());
   Writer.writeU64(Histograms.size());
-  for (const HistogramEstimator &Histogram : Histograms)
-    Writer.writeString(Histogram.toFileContents());
+  for (const std::string &Text : HistogramTexts)
+    Writer.writeString(Text);
   return Writer.takeBytes();
+}
+
+Result<int64_t> MomentSnapshot::checkBytes(const std::vector<uint8_t> &Bytes,
+                                           size_t Rows, size_t Columns) {
+  // Walks the layout toBytes writes, in fromBytes' order — every parse
+  // check before any value check — so each rejection has the kind
+  // fromBytes gives it.
+  size_t Cursor = 0;
+  auto readU64 = [&Bytes, &Cursor](uint64_t &Value) {
+    if (Bytes.size() - Cursor < 8)
+      return false;
+    Value = 0;
+    for (int Byte = 0; Byte < 8; ++Byte)
+      Value |= uint64_t(Bytes[Cursor + size_t(Byte)]) << (8 * Byte);
+    Cursor += 8;
+    return true;
+  };
+  // A count, then that many items of Width bytes each.
+  auto skipCounted = [&Bytes, &Cursor, &readU64](size_t Width,
+                                                 uint64_t &Count) {
+    if (!readU64(Count) || Count > (Bytes.size() - Cursor) / Width)
+      return false;
+    Cursor += size_t(Count) * Width;
+    return true;
+  };
+  uint64_t Header[5]; // seqnum, rows, columns, volume, compute seconds
+  for (uint64_t &Field : Header)
+    if (!readU64(Field))
+      return parseError("truncated snapshot message header");
+  uint64_t SumCount = 0;
+  uint64_t SquareCount = 0;
+  uint64_t HistogramCount = 0;
+  if (!skipCounted(8, SumCount))
+    return parseError("message truncated reading double vector");
+  const size_t SquaresAt = Cursor + 8;
+  if (!skipCounted(8, SquareCount))
+    return parseError("message truncated reading double vector");
+  if (!readU64(HistogramCount))
+    return parseError("message truncated reading u64");
+  for (uint64_t Index = 0; Index < HistogramCount; ++Index) {
+    uint64_t TextBytes = 0;
+    if (!skipCounted(1, TextBytes))
+      return parseError("message truncated reading string");
+  }
+  if (Cursor != Bytes.size())
+    return parseError("trailing bytes in snapshot message");
+
+  if (Header[1] != Rows || Header[2] != Columns)
+    return invalidArgument("snapshot message shape " +
+                           std::to_string(Header[1]) + "x" +
+                           std::to_string(Header[2]) +
+                           " does not match the configured " +
+                           std::to_string(Rows) + "x" +
+                           std::to_string(Columns));
+  if (SumCount != Rows * Columns || SquareCount != Rows * Columns)
+    return invalidArgument("raw sum vectors do not match the matrix shape");
+  const int64_t Volume = int64_t(Header[3]);
+  if (Volume < 0)
+    return invalidArgument("negative sample volume");
+  for (size_t Index = 0; Index < SquareCount; ++Index) {
+    uint64_t Bits = 0;
+    for (int Byte = 0; Byte < 8; ++Byte)
+      Bits |= uint64_t(Bytes[SquaresAt + 8 * Index + size_t(Byte)])
+              << (8 * Byte);
+    double Square;
+    std::memcpy(&Square, &Bits, sizeof(Square));
+    if (Square < 0.0)
+      return invalidArgument("negative square sum at entry " +
+                             std::to_string(Index));
+  }
+  return Volume;
 }
 
 Result<MomentSnapshot> MomentSnapshot::fromBytes(

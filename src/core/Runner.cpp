@@ -84,26 +84,37 @@ int64_t roundRobinShare(int64_t Total, int64_t Parts, int64_t Index) {
 
 /// The latest cumulative partial from each source — ranks at the
 /// collector, worker threads inside a rank — and their eq. (5) merge.
-/// Partials are cumulative, so keeping only the latest makes the table
-/// idempotent under duplicated or reordered deliveries, and merging in
-/// source order makes the result independent of arrival interleaving.
+/// Partials are cumulative, so the one with the larger sample volume is the
+/// fresher: keeping it makes the table idempotent under duplicated,
+/// delayed or reordered deliveries, and merging in source order makes the
+/// result independent of arrival interleaving. Partials are kept as
+/// checked payloads and decoded only when a merge needs them.
 class PartialTable {
 public:
   explicit PartialTable(size_t Sources)
-      : Latest(Sources), Finished(Sources, false), Outstanding(Sources) {}
+      : Entries(Sources), Outstanding(Sources) {}
 
-  /// Keeps \p Partial as \p Source's latest; a final one also retires it.
-  void store(size_t Source, MomentSnapshot Partial, bool IsFinal) {
-    Latest[Source] = std::move(Partial);
+  /// Keeps \p Payload, a checked partial of \p Volume, as \p Source's
+  /// latest unless a partial at least as large is kept already; a final one
+  /// also retires the source. A retired source accepts nothing further.
+  void store(size_t Source, std::vector<uint8_t> Payload, int64_t Volume,
+             bool IsFinal) {
+    Entry &Kept = Entries[Source];
+    if (Kept.Finished)
+      return;
+    if (Volume > Kept.Volume) {
+      Kept.Volume = Volume;
+      Kept.Pending = std::move(Payload);
+    }
     if (IsFinal)
       (void)retire(Source);
   }
 
   /// Marks \p Source finished; false if it already was.
   bool retire(size_t Source) {
-    if (Finished[Source])
+    if (Entries[Source].Finished)
       return false;
-    Finished[Source] = true;
+    Entries[Source].Finished = true;
     --Outstanding;
     return true;
   }
@@ -113,25 +124,48 @@ public:
 
   /// Sample volume of \p Source's latest partial (0 before the first).
   int64_t volume(size_t Source) const {
-    return Latest[Source] ? Latest[Source]->Moments.sampleVolume() : 0;
+    return std::max<int64_t>(Entries[Source].Volume, 0);
   }
 
-  /// \p Start plus every source's latest partial, in source order. Shape
-  /// mismatches mean a partial was decoded from a different run
+  /// Decodes every partial stored since the last call. One that fails is
+  /// dropped, its source keeping the partial decoded before it, and the
+  /// first failure is returned.
+  Status decodeFresh() {
+    Status FirstFailure;
+    for (Entry &Kept : Entries) {
+      if (Kept.Pending.empty())
+        continue;
+      Result<MomentSnapshot> Snapshot = MomentSnapshot::fromBytes(Kept.Pending);
+      Kept.Pending = std::vector<uint8_t>();
+      if (Snapshot)
+        Kept.Decoded = std::move(Snapshot).value();
+      else if (FirstFailure.isOk())
+        FirstFailure = Snapshot.status();
+    }
+    return FirstFailure;
+  }
+
+  /// \p Start plus every source's latest decoded partial, in source order.
+  /// Shape mismatches mean a partial was decoded from a different run
   /// configuration — merging it would corrupt the eq. (5) average, so
   /// this contract stays on in release builds.
   MomentSnapshot mergedOnto(MomentSnapshot Start) const {
-    for (size_t Source = 0; Source < Latest.size(); ++Source)
-      if (Latest[Source]) {
-        Status MergedOk = Start.mergeFrom(*Latest[Source]);
+    for (const Entry &Kept : Entries)
+      if (Kept.Decoded) {
+        Status MergedOk = Start.mergeFrom(*Kept.Decoded);
         PARMONC_ASSERT(MergedOk.isOk(), "snapshot shape/geometry mismatch");
       }
     return Start;
   }
 
 private:
-  std::vector<std::optional<MomentSnapshot>> Latest;
-  std::vector<bool> Finished;
+  struct Entry {
+    int64_t Volume = -1; // of the latest partial; -1 before the first
+    std::vector<uint8_t> Pending; // stored, not decoded yet
+    std::optional<MomentSnapshot> Decoded;
+    bool Finished = false;
+  };
+  std::vector<Entry> Entries;
   size_t Outstanding;
 };
 
@@ -404,7 +438,7 @@ public:
   /// Drains rank 0's inbox and saves when the averaging period is due.
   void poll(Communicator &Comm) {
     while (std::optional<Message> Incoming = Comm.tryReceive())
-      handle(*Incoming);
+      handle(std::move(*Incoming));
     const int64_t Now = Run.Time.nowNanos();
     if (Now - LastSaveNanos >= Config.AveragePeriodNanos)
       savePoint(Now);
@@ -417,7 +451,7 @@ public:
   Status Failure;
 
 private:
-  void handle(const Message &Incoming);
+  void handle(Message Incoming);
   void savePoint(int64_t NowNanos, bool IsFinal = false);
   void checkpoint(const MomentSnapshot &Merged);
   RunLogInfo buildLog(const MomentSnapshot &Merged, int64_t NowNanos) const;
@@ -455,15 +489,18 @@ private:
                               : nullptr;
 };
 
-void Collector::handle(const Message &Incoming) {
+/// A subtotal is checked on receipt and kept raw; the save point decodes
+/// it (Collector::savePoint), so a rank that passes after every
+/// realization costs rank 0 one decode per save, not one per message.
+void Collector::handle(Message Incoming) {
   if (Incoming.Tag != TagShardReport) {
-    Result<MomentSnapshot> Snapshot =
-        MomentSnapshot::fromBytes(Incoming.Payload);
-    if (!Snapshot)
-      fail(Snapshot.status());
+    Result<int64_t> Volume = MomentSnapshot::checkBytes(
+        Incoming.Payload, Config.Rows, Config.Columns);
+    if (!Volume)
+      fail(Volume.status());
     else
-      Ranks.store(size_t(Incoming.Source), std::move(Snapshot).value(),
-                  Incoming.Tag == TagFinal);
+      Ranks.store(size_t(Incoming.Source), std::move(Incoming.Payload),
+                  Volume.value(), Incoming.Tag == TagFinal);
     return;
   }
   ByteReader Reader(Incoming.Payload);
@@ -520,6 +557,7 @@ RunLogInfo Collector::buildLog(const MomentSnapshot &Merged,
 
 void Collector::savePoint(int64_t NowNanos, bool IsFinal) {
   const int64_t MergeStart = Run.Time.nowNanos();
+  fail(Ranks.decodeFresh());
   const MomentSnapshot Merged = Ranks.mergedOnto(Base);
   const int64_t MergeEnd = Run.Time.nowNanos();
   if (Merged.Moments.sampleVolume() <= 0)
@@ -626,7 +664,7 @@ void Collector::collectFinals(Communicator &Comm) {
          !Shared.Killed.load(std::memory_order_relaxed)) {
     if (std::optional<Message> Incoming =
             Comm.receiveWait(-1, /*TimeoutNanos=*/2'000'000, &Run.Time)) {
-      handle(*Incoming);
+      handle(std::move(*Incoming));
       LastProgressNanos = Run.Time.nowNanos();
     } else if (Config.WorkerDeadlineNanos > 0 &&
                Run.Time.nowNanos() - LastProgressNanos >=
@@ -728,6 +766,7 @@ private:
   }
 
   void runThreaded();
+  void mergeThreadPartials(PartialTable &ThreadPartials);
   void sendSubtotal(int Tag);
 
   RunContext &Run;
@@ -796,13 +835,13 @@ void RankRunner::runThreaded() {
       Run.Shared.StopRequested.store(true, std::memory_order_relaxed);
     if (std::optional<Message> Incoming =
             IntraRank.popWait(-1, /*TimeoutNanos=*/2'000'000, &Run.Time)) {
-      Result<MomentSnapshot> Snapshot =
-          MomentSnapshot::fromBytes(Incoming->Payload);
-      // Same-process round trip: a decode failure here is a bug, not an
-      // IO hazard.
-      PARMONC_ASSERT(Snapshot.isOk(), "intra-rank snapshot decode failed");
+      Result<int64_t> Volume = MomentSnapshot::checkBytes(
+          Incoming->Payload, Config.Rows, Config.Columns);
+      // Same-process round trip: a bad payload here is a bug, not an IO
+      // hazard.
+      PARMONC_ASSERT(Volume.isOk(), "intra-rank snapshot check failed");
       ThreadPartials.store(size_t(Incoming->Source),
-                           std::move(Snapshot).value(),
+                           std::move(Incoming->Payload), Volume.value(),
                            Incoming->Tag == TagFinal);
       Fresh = true;
     }
@@ -811,7 +850,7 @@ void RankRunner::runThreaded() {
     const int64_t Now = Run.Time.nowNanos();
     if (Fresh && passDue(Config, Now, LastPassNanos)) {
       Fresh = false;
-      Local = ThreadPartials.mergedOnto(emptyPartial(Config));
+      mergeThreadPartials(ThreadPartials);
       if (Local.Moments.sampleVolume() > 0) {
         sendSubtotal(TagSubtotal);
         LastPassNanos = Now;
@@ -823,6 +862,13 @@ void RankRunner::runThreaded() {
   Workers.join();
   // Every thread's final partial, merged in thread order: the rank's
   // definitive subtotal.
+  mergeThreadPartials(ThreadPartials);
+}
+
+/// Sets this rank's subtotal to the thread partials merged in thread order.
+void RankRunner::mergeThreadPartials(PartialTable &ThreadPartials) {
+  const Status Decoded = ThreadPartials.decodeFresh();
+  PARMONC_ASSERT(Decoded.isOk(), "intra-rank snapshot decode failed");
   Local = ThreadPartials.mergedOnto(emptyPartial(Config));
 }
 

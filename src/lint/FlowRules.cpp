@@ -36,13 +36,10 @@
 namespace parmonc {
 namespace lint {
 
-namespace {
-
 bool isPunctTok(const Token &T, char C) {
   return T.Kind == TokenKind::Punct && T.Text.size() == 1 && T.Text[0] == C;
 }
 
-/// First non-comment token index in [I, End), or End.
 size_t skipCommentTokens(const std::vector<Token> &Tokens, size_t I,
                          size_t End) {
   while (I < End && Tokens[I].Kind == TokenKind::Comment)
@@ -53,6 +50,35 @@ size_t skipCommentTokens(const std::vector<Token> &Tokens, size_t I,
 size_t nextCodeTok(const std::vector<Token> &Tokens, size_t I, size_t End) {
   return skipCommentTokens(Tokens, I + 1, End);
 }
+
+bool tokensHaveTopLevelAssignment(const std::vector<Token> &Tokens,
+                                  const CfgStatement &Stmt) {
+  int Depth = 0;
+  for (size_t I = Stmt.TokenBegin; I < Stmt.TokenEnd; ++I) {
+    const Token &T = Tokens[I];
+    if (T.Kind != TokenKind::Punct)
+      continue;
+    const char C = T.Text.size() == 1 ? T.Text[0] : '\0';
+    if (C == '(' || C == '[' || C == '{')
+      ++Depth;
+    else if (C == ')' || C == ']' || C == '}')
+      --Depth;
+    else if (C == '=' && Depth == 0) {
+      const bool PrevCmp =
+          I > Stmt.TokenBegin && Tokens[I - 1].Kind == TokenKind::Punct &&
+          Tokens[I - 1].Text.size() == 1 &&
+          (Tokens[I - 1].Text[0] == '=' || Tokens[I - 1].Text[0] == '!' ||
+           Tokens[I - 1].Text[0] == '<' || Tokens[I - 1].Text[0] == '>');
+      const bool NextEq =
+          I + 1 < Stmt.TokenEnd && isPunctTok(Tokens[I + 1], '=');
+      if (!PrevCmp && !NextEq)
+        return true;
+    }
+  }
+  return false;
+}
+
+namespace {
 
 /// The statement's index within its function's statement list. transfer()
 /// receives references into FunctionCfg::Statements, so identity is
@@ -176,35 +202,6 @@ bool parseDeclShape(const std::vector<Token> &Tokens, const CfgStatement &Stmt,
   Out.VarName = Tokens[I].Text;
   Out.AfterName = nextCodeTok(Tokens, I, End);
   return true;
-}
-
-/// True when the statement's tokens contain a top-level '=' assignment
-/// (outside any parens/brackets/braces, not part of ==/!=/<=/>=).
-bool tokensHaveTopLevelAssignment(const std::vector<Token> &Tokens,
-                                  const CfgStatement &Stmt) {
-  int Depth = 0;
-  for (size_t I = Stmt.TokenBegin; I < Stmt.TokenEnd; ++I) {
-    const Token &T = Tokens[I];
-    if (T.Kind != TokenKind::Punct)
-      continue;
-    const char C = T.Text.size() == 1 ? T.Text[0] : '\0';
-    if (C == '(' || C == '[' || C == '{')
-      ++Depth;
-    else if (C == ')' || C == ']' || C == '}')
-      --Depth;
-    else if (C == '=' && Depth == 0) {
-      const bool PrevCmp =
-          I > Stmt.TokenBegin && Tokens[I - 1].Kind == TokenKind::Punct &&
-          Tokens[I - 1].Text.size() == 1 &&
-          (Tokens[I - 1].Text[0] == '=' || Tokens[I - 1].Text[0] == '!' ||
-           Tokens[I - 1].Text[0] == '<' || Tokens[I - 1].Text[0] == '>');
-      const bool NextEq =
-          I + 1 < Stmt.TokenEnd && isPunctTok(Tokens[I + 1], '=');
-      if (!PrevCmp && !NextEq)
-        return true;
-    }
-  }
-  return false;
 }
 
 /// One tracked dataflow fact: a named local value with its declaration

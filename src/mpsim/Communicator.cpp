@@ -9,18 +9,35 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 namespace parmonc {
 
-void Mailbox::push(Message Incoming) {
+size_t Mailbox::push(Message Incoming) {
+  size_t Depth;
   {
     std::lock_guard<std::mutex> Lock(Mutex);
-    if (Closed)
-      return; // the backend is tearing down; nobody will pop this
-    Queue.push_back(std::move(Incoming));
+    if (!Closed) // else the backend is tearing down; nobody will pop it
+      Queue.push_back(std::move(Incoming));
+    Depth = Queue.size();
   }
   Available.notify_all();
+  return Depth;
+}
+
+size_t Mailbox::pushAll(std::vector<Message> &Batch) {
+  size_t Depth;
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (!Closed)
+      Queue.insert(Queue.end(), std::make_move_iterator(Batch.begin()),
+                   std::make_move_iterator(Batch.end()));
+    Depth = Queue.size();
+  }
+  Batch.clear();
+  Available.notify_all();
+  return Depth;
 }
 
 std::optional<Message> Mailbox::popMatchingLocked(int Tag) {
@@ -282,12 +299,13 @@ Status FabricCommunicator::sendReliable(int Destination, int Tag,
   }
   if (Verdict.Act == SendFault::Action::Duplicate)
     SharedFabric.mailboxOf(Destination).push(Outgoing);
-  SharedFabric.mailboxOf(Destination).push(std::move(Outgoing));
+  const size_t Depth =
+      SharedFabric.mailboxOf(Destination).push(std::move(Outgoing));
   // Queue-delay signal: depth of the collector's mailbox right after a
   // subtotal lands there. The §2.2 claim is that this stays near zero.
   if (Destination == 0)
-    if (obs::Gauge *Depth = SharedFabric.collectorQueueDepthGauge())
-      Depth->set(double(SharedFabric.mailboxOf(0).pendingCount()));
+    if (obs::Gauge *DepthGauge = SharedFabric.collectorQueueDepthGauge())
+      DepthGauge->set(double(Depth));
   return Status::ok();
 }
 

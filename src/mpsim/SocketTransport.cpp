@@ -371,7 +371,7 @@ private:
 struct RouterState {
   explicit RouterState(int RankCount)
       : RankCount(RankCount), ChildFd(size_t(RankCount), -1),
-        FdOpen(size_t(RankCount), false), Dead(size_t(RankCount), false),
+        FdOpen(size_t(RankCount), 0), Dead(size_t(RankCount), false),
         GoodbyeSeen(size_t(RankCount), false),
         WriteMutexes(size_t(RankCount)) {
     for (auto &MutexPtr : WriteMutexes)
@@ -383,7 +383,9 @@ struct RouterState {
 
   const int RankCount;
   std::vector<int> ChildFd;
-  std::vector<bool> FdOpen; // guarded by the matching write mutex
+  // Guarded by the matching write mutex. Bytes, not vector<bool> bits:
+  // neighbouring flags under different mutexes must not share a word.
+  std::vector<uint8_t> FdOpen;
   Mailbox RootInbox;
 
   std::mutex Mutex; // barrier + liveness
@@ -403,6 +405,7 @@ struct RouterState {
   std::vector<std::unique_ptr<std::mutex>> WriteMutexes;
 
   obs::Counter *FramesRouted = nullptr;
+  obs::Counter *RootBatches = nullptr;
   obs::Counter *BytesRouted = nullptr;
   obs::Counter *UnexpectedExits = nullptr;
   obs::Counter *Goodbyes = nullptr;
@@ -424,7 +427,7 @@ struct RouterState {
     std::lock_guard<std::mutex> Lock(*WriteMutexes[size_t(Rank)]);
     if (!FdOpen[size_t(Rank)])
       return;
-    FdOpen[size_t(Rank)] = false;
+    FdOpen[size_t(Rank)] = 0;
     ::close(ChildFd[size_t(Rank)]);
     ChildFd[size_t(Rank)] = -1;
   }
@@ -606,11 +609,10 @@ public:
 private:
   void deliverFrame(const Frame &Outgoing) {
     if (Outgoing.B == 0) {
-      State.RootInbox.push(
+      const size_t Depth = State.RootInbox.push(
           Message{Outgoing.A, Outgoing.C, Outgoing.Payload});
       if (State.CollectorQueueDepth)
-        State.CollectorQueueDepth->set(
-            double(State.RootInbox.pendingCount()));
+        State.CollectorQueueDepth->set(double(Depth));
       return;
     }
     State.writeToRank(Outgoing.B, encodeFrame(Outgoing));
@@ -670,27 +672,40 @@ void routerMain(RouterState &State) {
     State.closeChannel(Rank);
   };
 
-  auto dispatch = [&](int Source, const Frame &Incoming) {
-    if (State.FramesRouted)
-      State.FramesRouted->add();
+  // Rank 0's data frames from one read() reach its inbox as one batch:
+  // one lock and one wakeup per read, not per frame. Any other frame
+  // flushes the batch first, so it stays ordered after the data before it.
+  std::vector<Message> RootBatch;
+  auto flushRootBatch = [&] {
+    if (RootBatch.empty())
+      return;
+    const size_t Depth = State.RootInbox.pushAll(RootBatch);
+    if (State.CollectorQueueDepth)
+      State.CollectorQueueDepth->set(double(Depth));
+    if (State.RootBatches)
+      State.RootBatches->add();
+  };
+
+  // Payloads move out of the decoded frame; counters are summed per read.
+  int64_t FramesRead = 0;
+  int64_t DataBytesRead = 0;
+  auto dispatch = [&](int Source, Frame &Incoming) {
+    ++FramesRead;
+    if (Incoming.Kind == FrameKind::Data) {
+      DataBytesRead += int64_t(Incoming.Payload.size());
+      if (Incoming.B == 0)
+        RootBatch.push_back(
+            Message{Incoming.A, Incoming.C, std::move(Incoming.Payload)});
+      else
+        State.writeToRank(Incoming.B, encodeFrame(Incoming));
+      return;
+    }
+    flushRootBatch();
     switch (Incoming.Kind) {
+    case FrameKind::Data:
+      break; // delivered above
     case FrameKind::Hello:
       break; // liveness is implied by the open stream
-    case FrameKind::Data:
-      if (State.BytesRouted)
-        State.BytesRouted->add(int64_t(Incoming.Payload.size()));
-      State.BytesTransferred.fetch_add(Incoming.Payload.size(),
-                                       std::memory_order_relaxed);
-      if (Incoming.B == 0) {
-        State.RootInbox.push(
-            Message{Incoming.A, Incoming.C, Incoming.Payload});
-        if (State.CollectorQueueDepth)
-          State.CollectorQueueDepth->set(
-              double(State.RootInbox.pendingCount()));
-      } else {
-        State.writeToRank(Incoming.B, encodeFrame(Incoming));
-      }
-      break;
     case FrameKind::BarrierArrive: {
       std::lock_guard<std::mutex> Lock(State.Mutex);
       State.arriveLocked();
@@ -778,6 +793,15 @@ void routerMain(RouterState &State) {
           break;
         dispatch(Rank, *Next.value());
       }
+      flushRootBatch();
+      if (State.FramesRouted)
+        State.FramesRouted->add(FramesRead);
+      if (State.BytesRouted)
+        State.BytesRouted->add(DataBytesRead);
+      State.BytesTransferred.fetch_add(uint64_t(DataBytesRead),
+                                       std::memory_order_relaxed);
+      FramesRead = 0;
+      DataBytesRead = 0;
       if (Corrupt)
         handleDeath(Rank);
     }
@@ -796,6 +820,7 @@ runProcessEngine(int RankCount,
   RouterState State(RankCount);
   if (Options.Metrics) {
     State.FramesRouted = &Options.Metrics->counter("transport.frames_routed");
+    State.RootBatches = &Options.Metrics->counter("transport.root_batches");
     State.BytesRouted = &Options.Metrics->counter("transport.bytes_routed");
     State.UnexpectedExits =
         &Options.Metrics->counter("transport.unexpected_exits");
@@ -862,7 +887,7 @@ runProcessEngine(int RankCount,
   for (int Rank = 1; Rank < RankCount; ++Rank) {
     ::close(Pairs[size_t(Rank)][1]); // child ends belong to the children
     State.ChildFd[size_t(Rank)] = Pairs[size_t(Rank)][0];
-    State.FdOpen[size_t(Rank)] = true;
+    State.FdOpen[size_t(Rank)] = 1;
   }
 
   std::thread Router;

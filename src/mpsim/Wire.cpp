@@ -37,23 +37,25 @@ bool knownFrameKind(uint8_t Kind) {
 } // namespace
 
 std::vector<uint8_t> encodeFrame(const Frame &Outgoing) {
-  std::vector<uint8_t> Body;
-  Body.reserve(BodyPrefixBytes + Outgoing.Payload.size());
-  Body.push_back(uint8_t(Outgoing.Kind));
-  appendU32(Body, uint32_t(Outgoing.A));
-  appendU32(Body, uint32_t(Outgoing.B));
-  appendU32(Body, uint32_t(Outgoing.C));
-  Body.insert(Body.end(), Outgoing.Payload.begin(), Outgoing.Payload.end());
+  // One buffer: the header with a zero CRC, the body, then the CRC of the
+  // body patched into the header.
+  const size_t BodyLen = BodyPrefixBytes + Outgoing.Payload.size();
+  std::vector<uint8_t> Encoded;
+  Encoded.reserve(HeaderBytes + BodyLen);
+  appendU32(Encoded, FrameMagic);
+  appendU32(Encoded, uint32_t(BodyLen));
+  appendU32(Encoded, 0);
+  Encoded.push_back(uint8_t(Outgoing.Kind));
+  appendU32(Encoded, uint32_t(Outgoing.A));
+  appendU32(Encoded, uint32_t(Outgoing.B));
+  appendU32(Encoded, uint32_t(Outgoing.C));
+  Encoded.insert(Encoded.end(), Outgoing.Payload.begin(),
+                 Outgoing.Payload.end());
 
   const uint32_t Crc = crc32(std::string_view(
-      reinterpret_cast<const char *>(Body.data()), Body.size()));
-
-  std::vector<uint8_t> Encoded;
-  Encoded.reserve(HeaderBytes + Body.size());
-  appendU32(Encoded, FrameMagic);
-  appendU32(Encoded, uint32_t(Body.size()));
-  appendU32(Encoded, Crc);
-  Encoded.insert(Encoded.end(), Body.begin(), Body.end());
+      reinterpret_cast<const char *>(Encoded.data() + HeaderBytes), BodyLen));
+  for (int Byte = 0; Byte < 4; ++Byte)
+    Encoded[8 + size_t(Byte)] = uint8_t(Crc >> (8 * Byte));
   return Encoded;
 }
 

@@ -144,6 +144,71 @@ TEST(Mailbox, PopWaitOnManualClockStillDeliversMatches) {
   EXPECT_EQ(Received->Payload[0], 11);
 }
 
+std::vector<Message> batchOf(std::initializer_list<std::pair<int, uint8_t>>
+                                 TagsAndBytes) {
+  std::vector<Message> Batch;
+  for (const auto &[Tag, Byte] : TagsAndBytes)
+    Batch.push_back({0, Tag, bytesOf({Byte})});
+  return Batch;
+}
+
+TEST(Mailbox, PushAllKeepsOrderAndReturnsTheDepth) {
+  Mailbox Box;
+  EXPECT_EQ(Box.push({0, 1, bytesOf({1})}), 1u);
+  std::vector<Message> Batch = batchOf({{1, 2}, {1, 3}, {1, 4}});
+  EXPECT_EQ(Box.pushAll(Batch), 4u);
+  EXPECT_TRUE(Batch.empty());
+  for (uint8_t Expected = 1; Expected <= 4; ++Expected) {
+    auto Next = Box.tryPop(1);
+    ASSERT_TRUE(Next);
+    EXPECT_EQ(Next->Payload[0], Expected);
+  }
+  std::vector<Message> Empty;
+  EXPECT_EQ(Box.pushAll(Empty), 0u);
+}
+
+TEST(Mailbox, TryPopByTagMatchesAcrossABatch) {
+  Mailbox Box;
+  std::vector<Message> Batch = batchOf({{1, 10}, {2, 20}, {1, 11}, {2, 21}});
+  Box.pushAll(Batch);
+  auto Second = Box.tryPop(2);
+  ASSERT_TRUE(Second);
+  EXPECT_EQ(Second->Payload[0], 20);
+  auto First = Box.tryPop(1);
+  ASSERT_TRUE(First);
+  EXPECT_EQ(First->Payload[0], 10);
+  auto Rest = Box.tryPop(2);
+  ASSERT_TRUE(Rest);
+  EXPECT_EQ(Rest->Payload[0], 21);
+  EXPECT_EQ(Box.pendingCount(), 1u);
+}
+
+TEST(Mailbox, PushAllAfterCloseIsDropped) {
+  Mailbox Box;
+  Box.close();
+  std::vector<Message> Batch = batchOf({{1, 1}, {1, 2}});
+  EXPECT_EQ(Box.pushAll(Batch), 0u);
+  EXPECT_TRUE(Batch.empty());
+  EXPECT_EQ(Box.pendingCount(), 0u);
+  EXPECT_FALSE(Box.tryPop().has_value());
+}
+
+TEST(Mailbox, BlockedPopWaitWakesForABatch) {
+  // The match sits last in the batch: the single wakeup of one pushAll
+  // must let the waiter find it past the non-matching messages.
+  Mailbox Box;
+  std::thread Producer([&Box] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    std::vector<Message> Batch = batchOf({{1, 1}, {1, 2}, {4, 42}});
+    Box.pushAll(Batch);
+  });
+  auto Received = Box.popWait(4, 2'000'000'000);
+  Producer.join();
+  ASSERT_TRUE(Received);
+  EXPECT_EQ(Received->Payload[0], 42);
+  EXPECT_EQ(Box.pendingCount(), 2u);
+}
+
 TEST(Fabric, TracksBytesTransferred) {
   Fabric Net(2);
   FabricCommunicator Sender(Net, 1);
