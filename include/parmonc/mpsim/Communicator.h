@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The MPI substitute (DESIGN.md §2): a fabric of per-rank mailboxes with
-/// tagged, asynchronous point-to-point messages. This is deliberately the
-/// subset PARMONC's parallelization technique needs — asynchronous send,
-/// non-blocking probe/receive, a barrier — nothing more. The run engine is
-/// written against the abstract Communicator exactly the way PARMONC is
-/// written against MPI, and user code never sees either. Two backends
-/// implement it: FabricCommunicator (threads-as-ranks over this file's
-/// Fabric) and the socket-pair process transport in SocketTransport.cpp,
-/// selected through mpsim/Engine.h.
+/// The MPI substitute (DESIGN.md §2): per-rank mailboxes with tagged,
+/// asynchronous point-to-point messages. This is deliberately the subset
+/// PARMONC's parallelization technique needs — asynchronous send to the
+/// collector, non-blocking receive and a stop signal — nothing more. The
+/// run engine is written against the abstract Communicator exactly the way
+/// PARMONC is written against MPI, and user code never sees either. The
+/// Communicator base owns the one fault-aware send path; two backends
+/// supply its delivery: FabricCommunicator (threads-as-ranks over this
+/// file's Fabric) and the socket-pair process transport in
+/// SocketTransport.cpp, selected through mpsim/Engine.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -109,10 +110,6 @@ public:
   /// Number of queued messages (any tag).
   size_t pendingCount() const;
 
-  /// True if a message with \p Tag (-1 = any) is queued, without removing
-  /// anything.
-  bool contains(int Tag = -1) const;
-
 private:
   std::optional<Message> popMatchingLocked(int Tag);
   bool containsLocked(int Tag) const;
@@ -123,165 +120,76 @@ private:
   bool Closed = false;
 };
 
-/// The shared state connecting all ranks of one thread-backed run.
-class Fabric {
-public:
-  explicit Fabric(int RankCount);
+/// The comm.* counters a send path feeds; null entries are skipped.
+struct SendCounters {
+  obs::Counter *Messages = nullptr; ///< comm.messages_sent
+  obs::Counter *Bytes = nullptr;    ///< comm.bytes_sent
+  obs::Counter *Retries = nullptr;  ///< comm.send_retries
+  obs::Counter *Failed = nullptr;   ///< comm.sends_failed
 
-  int rankCount() const { return int(Mailboxes.size()); }
-
-  Mailbox &mailboxOf(int Rank) {
-    assert(Rank >= 0 && Rank < rankCount() && "rank out of range");
-    return *Mailboxes[size_t(Rank)];
-  }
-
-  /// Cumulative bytes pushed through the fabric (for the benches that
-  /// account exchange volume, e.g. the paper's ~120 KB per message figure).
-  uint64_t bytesTransferred() const;
-  void addBytesTransferred(uint64_t Bytes);
-
-  /// Rendezvous of all ranks; generation-counted so it is reusable. Ranks
-  /// marked dead are excluded from the count, so the survivors of a
-  /// degraded run still rendezvous.
-  void arriveAtBarrier();
-
-  /// Installs the fault hook consulted on every send, plus the clock that
-  /// times Delay verdicts and retry backoff. Call before any rank sends
-  /// (runThreadEngine's Setup callback runs at the right moment).
-  void setSendFaultHook(SendFaultHook Hook, const Clock *TimeSource);
-
-  /// Excludes \p Rank from the barrier count (a crashed rank never
-  /// arrives). Idempotent per rank; releases the barrier if the survivors
-  /// are already all waiting.
-  void markDead(int Rank);
-
-  /// Ranks not marked dead.
-  int aliveRankCount() const;
-
-  /// Asks every rank to stop (cooperative; ranks poll stopRequested()).
-  void requestStop(StopReason Reason);
-  bool stopRequested() const;
-  /// OR of every StopReason broadcast so far.
-  uint8_t stopReasonBits() const;
-
-  /// Marks the run aborted: the collector died, ranks must skip
-  /// finalization. Implies requestStop.
-  void requestAbort();
-  bool abortRequested() const;
-
-  /// Tears the fabric down while peers may still hold queued messages:
-  /// closes every mailbox (waking all blocked receivers) and releases any
-  /// barrier waiters. After shutdown the rank threads can be joined in
-  /// any order without deadlocking — the shutdown-ordering contract the
-  /// adversarial-join regression tests pin down.
-  void shutdown();
-
-  /// Moves every delayed message whose release time has passed into its
-  /// destination mailbox. Called from the communicator's send/receive
-  /// paths; harmless when no messages are delayed.
-  void pumpDelayedMessages();
-
-  /// Holds \p Held back until the fabric clock reaches \p ReleaseNanos.
-  void delayMessage(int Destination, int64_t ReleaseNanos, Message Held);
-
-  /// Attaches observability counters ("comm.messages_sent",
-  /// "comm.bytes_sent") and the "comm.collector_queue_depth" gauge
-  /// (sampled at every send to rank 0 — the §2.2 collector-congestion
-  /// signal). Call before any rank starts sending.
-  void attachMetrics(obs::MetricsRegistry &Registry);
-
-  obs::Counter *messagesSentCounter() const { return MessagesSent; }
-  obs::Counter *bytesSentCounter() const { return BytesSent; }
-  obs::Counter *sendRetriesCounter() const { return SendRetries; }
-  obs::Counter *sendsFailedCounter() const { return SendsFailed; }
-  obs::Gauge *collectorQueueDepthGauge() const {
-    return CollectorQueueDepth;
-  }
-  const SendFaultHook &sendFaultHook() const { return FaultHook; }
-  const Clock *faultClock() const { return FaultTime; }
-
-private:
-  /// A message held back by a Delay verdict.
-  struct DelayedMessage {
-    int64_t ReleaseNanos = 0;
-    int Destination = 0;
-    Message Held;
-  };
-
-  std::vector<std::unique_ptr<Mailbox>> Mailboxes;
-  obs::Counter *MessagesSent = nullptr;
-  obs::Counter *BytesSent = nullptr;
-  obs::Counter *SendRetries = nullptr;
-  obs::Counter *SendsFailed = nullptr;
-  obs::Gauge *CollectorQueueDepth = nullptr;
-  SendFaultHook FaultHook;
-  const Clock *FaultTime = nullptr;
-  std::mutex DelayedMutex;
-  std::vector<DelayedMessage> Delayed;
-  mutable std::mutex BarrierMutex;
-  std::condition_variable BarrierRelease;
-  int BarrierWaiting = 0;
-  int DeadRanks = 0;
-  uint64_t BarrierGeneration = 0;
-  std::vector<bool> DeadByRank;
-  std::atomic<uint64_t> TotalBytes{0};
-  std::atomic<bool> StopFlag{false};
-  std::atomic<uint8_t> StopBits{0};
-  std::atomic<bool> AbortFlag{false};
+  /// The comm.* counters of \p Registry, or none when it is null.
+  static SendCounters of(obs::MetricsRegistry *Registry);
 };
 
-/// A rank's handle to its run: the MPI-communicator equivalent. Abstract
-/// so the engine and the collectives are transport-agnostic — the same
-/// collector/checkpoint code runs over threads (FabricCommunicator) and
-/// over forked processes (the socket transport), and the differential
+/// Messages held back by Delay verdicts until their release time. Whoever
+/// owns the queue decides who releases it: one per Fabric (any rank's send
+/// or receive), one per socket-side communicator. Thread-safe.
+class DelayQueue {
+public:
+  /// A message held for \p Destination until the fault clock reaches
+  /// \p ReleaseNanos.
+  struct Held {
+    int64_t ReleaseNanos = 0;
+    int Destination = 0;
+    Message Delayed;
+  };
+
+  void hold(Held Entry);
+
+  /// Removes and returns every message due at \p NowNanos.
+  std::vector<Held> takeDue(int64_t NowNanos);
+
+private:
+  std::mutex Mutex;
+  std::vector<Held> Queue;
+};
+
+/// A rank's handle to its run: the MPI-communicator equivalent. The send
+/// contract is written once here: sendReliable consults the fault hook per
+/// attempt, retries, counts and applies Drop/Delay/Duplicate, and the
+/// receives release due delayed messages before popping the rank's
+/// mailbox. A transport supplies only deliver() and the stop flags, so the
+/// same collector/checkpoint code runs over threads (FabricCommunicator)
+/// and over forked processes (the socket transport), and the differential
 /// suite holds the two backends byte-identical on estimator output.
 class Communicator {
 public:
   virtual ~Communicator() = default;
+  Communicator(const Communicator &) = delete;
+  Communicator &operator=(const Communicator &) = delete;
 
-  virtual int rank() const = 0;
-  virtual int size() const = 0;
+  int rank() const { return Rank; }
+  int size() const { return RankCount; }
 
-  /// Asynchronous send: enqueues toward the destination and returns
-  /// immediately (the paper's workers never wait on the collector). A
-  /// Fail verdict from the fault hook is swallowed — use sendReliable when
-  /// the caller needs to see failures.
-  void send(int Destination, int Tag, std::vector<uint8_t> Payload) {
-    (void)sendReliable(Destination, Tag, std::move(Payload),
-                       /*MaxAttempts=*/1, /*BackoffNanos=*/0,
-                       /*TimeSource=*/nullptr);
-  }
-
-  /// Send with a bounded retry loop: a Fail verdict from the fault hook is
+  /// Asynchronous send with a bounded retry loop: the paper's workers
+  /// never wait on the collector. A Fail verdict from the fault hook is
   /// retried up to \p MaxAttempts times total, sleeping \p BackoffNanos on
   /// \p TimeSource between attempts (a ManualClock backoff costs nothing).
   /// Returns the final failure once the attempts are exhausted. Dropped
   /// messages still count as success — a real network loses data without
   /// telling the sender.
-  [[nodiscard]] virtual Status sendReliable(int Destination, int Tag,
-                                            std::vector<uint8_t> Payload,
-                                            int MaxAttempts,
-                                            int64_t BackoffNanos,
-                                            const Clock *TimeSource) = 0;
+  [[nodiscard]] Status sendReliable(int Destination, int Tag,
+                                    std::vector<uint8_t> Payload,
+                                    int MaxAttempts, int64_t BackoffNanos,
+                                    const Clock *TimeSource);
 
   /// Non-blocking receive of the oldest message with \p Tag (-1 = any).
-  virtual std::optional<Message> tryReceive(int Tag = -1) = 0;
+  std::optional<Message> tryReceive(int Tag = -1);
 
   /// Blocking receive with timeout; empty on timeout. \p TimeSource as in
   /// Mailbox::popWait.
-  virtual std::optional<Message> receiveWait(
-      int Tag, int64_t TimeoutNanos, const Clock *TimeSource = nullptr) = 0;
-
-  /// True if a message with \p Tag is waiting.
-  virtual bool probe(int Tag = -1) = 0;
-
-  /// Blocks until every live rank has arrived.
-  virtual void barrier() = 0;
-
-  /// Declares \p Rank dead: it is dropped from barrier rendezvous and
-  /// liveness accounting (the collector's straggler declaration, and a
-  /// crashing rank's own last act).
-  virtual void markDead(int Rank) = 0;
+  std::optional<Message> receiveWait(int Tag, int64_t TimeoutNanos,
+                                     const Clock *TimeSource = nullptr);
 
   /// Broadcasts a cooperative stop to every rank of the run, crossing
   /// address spaces under the process transport.
@@ -298,31 +206,84 @@ public:
   /// harshest crash the fault suite injects. Not supported (asserts) on
   /// the thread transport, where ranks share the test runner's process.
   [[noreturn]] virtual void crashHard();
+
+protected:
+  /// \p Inbox and \p Delayed must outlive the communicator; they are not
+  /// touched before the first send or receive.
+  Communicator(int Rank, int RankCount, Mailbox &Inbox, DelayQueue &Delayed,
+               SendCounters Counters, const SendFaultHook &Hook,
+               const Clock *FaultClock)
+      : Rank(Rank), RankCount(RankCount), Inbox(Inbox), Delayed(Delayed),
+        Counters(Counters), Hook(Hook), FaultClock(FaultClock) {}
+
+  /// Moves \p Outgoing (Source and Tag set) to \p Destination's mailbox,
+  /// whatever that takes on this transport.
+  virtual void deliver(int Destination, Message Outgoing) = 0;
+
+private:
+  void releaseDueMessages();
+
+  const int Rank;
+  const int RankCount;
+  Mailbox &Inbox;
+  DelayQueue &Delayed;
+  const SendCounters Counters;
+  const SendFaultHook &Hook;
+  const Clock *const FaultClock;
+};
+
+/// The shared state connecting all ranks of one thread-backed run.
+class Fabric {
+public:
+  /// \p Metrics gets the comm.* counters and the comm.collector_queue_depth
+  /// gauge (sampled at every delivery to rank 0 — the §2.2
+  /// collector-congestion signal). \p Hook is consulted on every send;
+  /// \p FaultClock times its Delay verdicts.
+  explicit Fabric(int RankCount, obs::MetricsRegistry *Metrics = nullptr,
+                  SendFaultHook Hook = {}, const Clock *FaultClock = nullptr);
+
+  int rankCount() const { return int(Mailboxes.size()); }
+
+  Mailbox &mailboxOf(int Rank) {
+    assert(Rank >= 0 && Rank < rankCount() && "rank out of range");
+    return *Mailboxes[size_t(Rank)];
+  }
+
+  /// Asks every rank to stop (cooperative; ranks poll stopRequested()).
+  void requestStop(StopReason Reason);
+  bool stopRequested() const;
+  /// OR of every StopReason broadcast so far.
+  uint8_t stopReasonBits() const;
+
+  /// Marks the run aborted: the collector died, ranks must skip
+  /// finalization. Implies requestStop.
+  void requestAbort();
+  bool abortRequested() const;
+
+private:
+  friend class FabricCommunicator;
+
+  std::vector<std::unique_ptr<Mailbox>> Mailboxes;
+  const SendCounters Counters;
+  obs::Gauge *const CollectorQueueDepth;
+  const SendFaultHook Hook;
+  const Clock *const FaultClock;
+  DelayQueue Delayed;
+  std::atomic<bool> StopFlag{false};
+  std::atomic<uint8_t> StopBits{0};
+  std::atomic<bool> AbortFlag{false};
 };
 
 /// The thread-backed rank handle over a shared Fabric.
 class FabricCommunicator final : public Communicator {
 public:
   FabricCommunicator(Fabric &SharedFabric, int Rank)
-      : SharedFabric(SharedFabric), Rank(Rank) {
-    assert(Rank >= 0 && Rank < SharedFabric.rankCount());
-  }
+      : Communicator(Rank, SharedFabric.rankCount(),
+                     SharedFabric.mailboxOf(Rank), SharedFabric.Delayed,
+                     SharedFabric.Counters, SharedFabric.Hook,
+                     SharedFabric.FaultClock),
+        SharedFabric(SharedFabric) {}
 
-  int rank() const override { return Rank; }
-  int size() const override { return SharedFabric.rankCount(); }
-
-  [[nodiscard]] Status sendReliable(int Destination, int Tag,
-                                    std::vector<uint8_t> Payload,
-                                    int MaxAttempts, int64_t BackoffNanos,
-                                    const Clock *TimeSource) override;
-
-  std::optional<Message> tryReceive(int Tag = -1) override;
-  std::optional<Message> receiveWait(int Tag, int64_t TimeoutNanos,
-                                     const Clock *TimeSource = nullptr)
-      override;
-  bool probe(int Tag = -1) override;
-  void barrier() override { SharedFabric.arriveAtBarrier(); }
-  void markDead(int DeadRank) override { SharedFabric.markDead(DeadRank); }
   void requestStop(StopReason Reason) override {
     SharedFabric.requestStop(Reason);
   }
@@ -334,22 +295,11 @@ public:
     return SharedFabric.abortRequested();
   }
 
-  Fabric &fabric() { return SharedFabric; }
-
 private:
-  Fabric &SharedFabric;
-  int Rank;
-};
+  void deliver(int Destination, Message Outgoing) override;
 
-/// Runs \p RankCount copies of \p Body concurrently, one thread per rank,
-/// over a fresh fabric. Returns after every rank finishes. This is the
-/// "launch as an MPI job" substitute: rank 0 plays the collector role
-/// exactly as in §2.2. \p Setup, when set, runs on the launching thread
-/// before any rank starts — the race-free moment to install fabric hooks.
-void runThreadEngine(int RankCount,
-                     const std::function<void(Communicator &)> &Body,
-                     obs::MetricsRegistry *Metrics = nullptr,
-                     const std::function<void(Fabric &)> &Setup = {});
+  Fabric &SharedFabric;
+};
 
 /// A joinable group of worker threads; each runs \p Body with its worker
 /// index in [0, Count). This is the *intra-rank* fan-out primitive of the

@@ -10,11 +10,11 @@
 /// Unix-domain socket pair carrying the CRC-framed messages of
 /// mpsim/Wire.h in a star topology. A router thread in the parent moves
 /// worker frames to their destinations (rank 0's mailbox, or another
-/// worker's socket), runs the barrier, fans out stop/abort broadcasts, and
-/// supervises the children: HELLO on start, GOODBYE with diagnostics on
-/// orderly exit, EOF without GOODBYE = unexpected death (the rank is
-/// marked dead so barriers and degraded collection keep working), waitpid
-/// reaping with a grace period and SIGKILL escalation on teardown.
+/// worker's socket), fans out stop/abort broadcasts, and supervises the
+/// children: HELLO on start, GOODBYE with diagnostics on orderly exit, EOF
+/// without GOODBYE = unexpected death (counted; the collector's deadline
+/// declares the rank dead), waitpid reaping with a grace period and
+/// SIGKILL escalation on teardown.
 ///
 //===----------------------------------------------------------------------===//
 

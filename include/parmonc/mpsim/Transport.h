@@ -64,14 +64,13 @@ struct ProcessRankStatus {
 };
 
 /// What the engine learned about the run, beyond what the rank bodies
-/// computed themselves. Thread runs fill only the stop flags and byte
-/// count; process runs add the per-child diagnostics that would otherwise
-/// die with the workers' address spaces.
+/// computed themselves. Thread runs fill only the stop flags; process
+/// runs add the per-child diagnostics that would otherwise die with the
+/// workers' address spaces.
 struct EngineReport {
   bool StopOnTimeLimit = false;   ///< some rank broadcast StopReason::TimeLimit
   bool StopOnErrorTarget = false; ///< some rank broadcast
                                   ///< StopReason::ErrorTarget
-  uint64_t BytesTransferred = 0;  ///< payload bytes moved between ranks
   int64_t ChildFailedSends = 0;   ///< sum of worker-process FailedSends
   std::vector<ProcessRankStatus> Ranks; ///< Processes only: ranks 1..N-1
 };

@@ -35,11 +35,9 @@ namespace parmonc {
 enum class FrameKind : uint8_t {
   Hello = 1,          ///< child -> root: rank is up (A = rank)
   Data = 2,           ///< routed message (A = source, B = destination, C = tag)
-  BarrierArrive = 3,  ///< child -> root: rank reached the barrier (A = rank)
-  BarrierRelease = 4, ///< root -> child: barrier opened
-  Dead = 5,           ///< either way: rank A is dead, drop it from barriers
+  // 3, 4 and 5 are unassigned; the decoder rejects them.
   Stop = 6,           ///< either way: stop request (A = StopReason bits)
-  Abort = 7,          ///< root -> child: collector died, skip finalization
+  Abort = 7,          ///< either way: collector died, skip finalization
   Goodbye = 8,        ///< child -> root: orderly exit + diagnostics payload
 };
 

@@ -23,7 +23,6 @@
 #include "parmonc/core/RunConfig.h"
 #include "parmonc/core/Runner.h"
 #include "parmonc/int128/UInt128.h"
-#include "parmonc/mpsim/Collectives.h"
 #include "parmonc/mpsim/Communicator.h"
 #include "parmonc/mpsim/Engine.h"
 #include "parmonc/mpsim/Serialize.h"

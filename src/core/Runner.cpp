@@ -382,7 +382,6 @@ bool runRealizations(RunContext &Run, int Rank, Communicator *Comm,
       Run.Injector->noteWorkerCrashed(Rank);
       if (Crash->RaiseKillSignal)
         Comm->crashHard(); // SIGKILL the worker process: a real node loss
-      Comm->markDead(Rank);
       return false;
     }
 
@@ -677,7 +676,6 @@ void Collector::collectFinals(Communicator &Comm) {
         if (Run.Trace)
           Run.Trace->instantAt("runner.dead_worker", Straggler,
                                Run.Time.nowNanos());
-        Comm.markDead(Straggler);
       }
     }
     // Periodic save-points continue while stragglers finish.

@@ -820,8 +820,7 @@ SendEffect sendEffectOf(std::string_view Kind) {
     return SendEffect::Hello;
   if (Kind == "Goodbye" || Kind == "Abort")
     return SendEffect::Terminator;
-  if (Kind == "Data" || Kind == "BarrierArrive" || Kind == "BarrierRelease" ||
-      Kind == "Dead" || Kind == "Stop")
+  if (Kind == "Data" || Kind == "Stop")
     return SendEffect::Other;
   return SendEffect::None;
 }

@@ -6,6 +6,8 @@
 
 #include "parmonc/mpsim/Communicator.h"
 
+#include "parmonc/support/Contract.h"
+
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -111,58 +113,115 @@ size_t Mailbox::pendingCount() const {
   return Queue.size();
 }
 
-bool Mailbox::contains(int Tag) const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return containsLocked(Tag);
+SendCounters SendCounters::of(obs::MetricsRegistry *Registry) {
+  if (!Registry)
+    return {};
+  return {&Registry->counter("comm.messages_sent"),
+          &Registry->counter("comm.bytes_sent"),
+          &Registry->counter("comm.send_retries"),
+          &Registry->counter("comm.sends_failed")};
 }
 
-Fabric::Fabric(int RankCount) {
+void DelayQueue::hold(Held Entry) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  Queue.push_back(std::move(Entry));
+}
+
+std::vector<DelayQueue::Held> DelayQueue::takeDue(int64_t NowNanos) {
+  std::vector<Held> Due;
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto FirstDue = std::partition(
+      Queue.begin(), Queue.end(),
+      [NowNanos](const Held &Entry) { return Entry.ReleaseNanos > NowNanos; });
+  Due.assign(std::make_move_iterator(FirstDue),
+             std::make_move_iterator(Queue.end()));
+  Queue.erase(FirstDue, Queue.end());
+  return Due;
+}
+
+void Communicator::crashHard() {
+  // Only the process transport can kill a single rank; a thread-backed
+  // rank shares the host process with every other rank and the caller.
+  assert(false && "crashHard() requires the process transport");
+  std::abort();
+}
+
+void Communicator::releaseDueMessages() {
+  if (!FaultClock)
+    return;
+  for (DelayQueue::Held &Due : Delayed.takeDue(FaultClock->nowNanos()))
+    deliver(Due.Destination, std::move(Due.Delayed));
+}
+
+Status Communicator::sendReliable(int Destination, int Tag,
+                                  std::vector<uint8_t> Payload,
+                                  int MaxAttempts, int64_t BackoffNanos,
+                                  const Clock *TimeSource) {
+  PARMONC_ASSERT(Destination >= 0 && Destination < RankCount,
+                 "destination rank out of range");
+  PARMONC_ASSERT(MaxAttempts >= 1, "need at least one send attempt");
+  releaseDueMessages();
+
+  SendFault Verdict;
+  for (int Attempt = 1;; ++Attempt) {
+    Verdict = Hook ? Hook(Rank, Destination, Tag) : SendFault{};
+    if (Verdict.Act != SendFault::Action::Fail)
+      break;
+    if (Attempt >= MaxAttempts) {
+      if (Counters.Failed)
+        Counters.Failed->add();
+      return ioError("send from rank " + std::to_string(Rank) +
+                     " to rank " + std::to_string(Destination) +
+                     " failed after " + std::to_string(MaxAttempts) +
+                     " attempts");
+    }
+    if (Counters.Retries)
+      Counters.Retries->add();
+    if (TimeSource)
+      TimeSource->sleepNanos(BackoffNanos);
+  }
+
+  if (Counters.Messages)
+    Counters.Messages->add();
+  if (Counters.Bytes)
+    Counters.Bytes->add(int64_t(Payload.size()));
+  if (Verdict.Act == SendFault::Action::Drop)
+    return Status::ok(); // the network ate it; the sender cannot know
+
+  Message Outgoing{Rank, Tag, std::move(Payload)};
+  if (Verdict.Act == SendFault::Action::Delay && FaultClock) {
+    Delayed.hold({FaultClock->nowNanos() + Verdict.DelayNanos, Destination,
+                  std::move(Outgoing)});
+    return Status::ok();
+  }
+  if (Verdict.Act == SendFault::Action::Duplicate)
+    deliver(Destination, Outgoing);
+  deliver(Destination, std::move(Outgoing));
+  return Status::ok();
+}
+
+std::optional<Message> Communicator::tryReceive(int Tag) {
+  releaseDueMessages();
+  return Inbox.tryPop(Tag);
+}
+
+std::optional<Message> Communicator::receiveWait(int Tag,
+                                                 int64_t TimeoutNanos,
+                                                 const Clock *TimeSource) {
+  releaseDueMessages();
+  return Inbox.popWait(Tag, TimeoutNanos, TimeSource);
+}
+
+Fabric::Fabric(int RankCount, obs::MetricsRegistry *Metrics,
+               SendFaultHook Hook, const Clock *FaultClock)
+    : Counters(SendCounters::of(Metrics)),
+      CollectorQueueDepth(
+          Metrics ? &Metrics->gauge("comm.collector_queue_depth") : nullptr),
+      Hook(std::move(Hook)), FaultClock(FaultClock) {
   assert(RankCount >= 1 && "fabric needs at least one rank");
   Mailboxes.reserve(size_t(RankCount));
   for (int Rank = 0; Rank < RankCount; ++Rank)
     Mailboxes.push_back(std::make_unique<Mailbox>());
-  DeadByRank.assign(size_t(RankCount), false);
-}
-
-uint64_t Fabric::bytesTransferred() const {
-  return TotalBytes.load(std::memory_order_relaxed);
-}
-
-void Fabric::addBytesTransferred(uint64_t Bytes) {
-  TotalBytes.fetch_add(Bytes, std::memory_order_relaxed);
-}
-
-void Fabric::attachMetrics(obs::MetricsRegistry &Registry) {
-  MessagesSent = &Registry.counter("comm.messages_sent");
-  BytesSent = &Registry.counter("comm.bytes_sent");
-  SendRetries = &Registry.counter("comm.send_retries");
-  SendsFailed = &Registry.counter("comm.sends_failed");
-  CollectorQueueDepth = &Registry.gauge("comm.collector_queue_depth");
-}
-
-void Fabric::setSendFaultHook(SendFaultHook Hook, const Clock *TimeSource) {
-  FaultHook = std::move(Hook);
-  FaultTime = TimeSource;
-}
-
-void Fabric::markDead(int Rank) {
-  assert(Rank >= 0 && Rank < rankCount() && "rank out of range");
-  std::lock_guard<std::mutex> Lock(BarrierMutex);
-  if (DeadByRank[size_t(Rank)])
-    return;
-  DeadByRank[size_t(Rank)] = true;
-  ++DeadRanks;
-  // The death may have been the barrier's missing arrival.
-  if (BarrierWaiting > 0 && BarrierWaiting >= rankCount() - DeadRanks) {
-    BarrierWaiting = 0;
-    ++BarrierGeneration;
-    BarrierRelease.notify_all();
-  }
-}
-
-int Fabric::aliveRankCount() const {
-  std::lock_guard<std::mutex> Lock(BarrierMutex);
-  return rankCount() - DeadRanks;
 }
 
 void Fabric::requestStop(StopReason Reason) {
@@ -187,165 +246,13 @@ bool Fabric::abortRequested() const {
   return AbortFlag.load(std::memory_order_relaxed);
 }
 
-void Fabric::shutdown() {
-  requestStop(StopReason::None);
-  for (std::unique_ptr<Mailbox> &Box : Mailboxes)
-    Box->close();
-  // Release any rank parked at the barrier: a shutdown must leave every
-  // rank joinable in whatever order the caller picks.
-  std::lock_guard<std::mutex> Lock(BarrierMutex);
-  BarrierWaiting = 0;
-  ++BarrierGeneration;
-  BarrierRelease.notify_all();
-}
-
-void Fabric::arriveAtBarrier() {
-  std::unique_lock<std::mutex> Lock(BarrierMutex);
-  const uint64_t MyGeneration = BarrierGeneration;
-  if (++BarrierWaiting >= rankCount() - DeadRanks) {
-    BarrierWaiting = 0;
-    ++BarrierGeneration;
-    BarrierRelease.notify_all();
-    return;
-  }
-  BarrierRelease.wait(Lock, [this, MyGeneration] {
-    return BarrierGeneration != MyGeneration;
-  });
-}
-
-void Fabric::pumpDelayedMessages() {
-  if (!FaultTime)
-    return;
-  std::vector<DelayedMessage> Due;
-  {
-    std::lock_guard<std::mutex> Lock(DelayedMutex);
-    if (Delayed.empty())
-      return;
-    const int64_t Now = FaultTime->nowNanos();
-    auto FirstDue = std::partition(
-        Delayed.begin(), Delayed.end(),
-        [Now](const DelayedMessage &Held) { return Held.ReleaseNanos > Now; });
-    Due.assign(std::make_move_iterator(FirstDue),
-               std::make_move_iterator(Delayed.end()));
-    Delayed.erase(FirstDue, Delayed.end());
-  }
-  for (DelayedMessage &Release : Due)
-    mailboxOf(Release.Destination).push(std::move(Release.Held));
-}
-
-void Fabric::delayMessage(int Destination, int64_t ReleaseNanos,
-                          Message Held) {
-  std::lock_guard<std::mutex> Lock(DelayedMutex);
-  Delayed.push_back(DelayedMessage{ReleaseNanos, Destination, std::move(Held)});
-}
-
-void Communicator::crashHard() {
-  // Only the process transport can kill a single rank; a thread-backed
-  // rank shares the host process with every other rank and the caller.
-  assert(false && "crashHard() requires the process transport");
-  std::abort();
-}
-
-Status FabricCommunicator::sendReliable(int Destination, int Tag,
-                                        std::vector<uint8_t> Payload,
-                                        int MaxAttempts, int64_t BackoffNanos,
-                                        const Clock *TimeSource) {
-  assert(Destination >= 0 && Destination < size() &&
-         "destination rank out of range");
-  assert(MaxAttempts >= 1 && "need at least one send attempt");
-  SharedFabric.pumpDelayedMessages();
-
-  SendFault Verdict;
-  const SendFaultHook &Hook = SharedFabric.sendFaultHook();
-  for (int Attempt = 1;; ++Attempt) {
-    Verdict = Hook ? Hook(Rank, Destination, Tag) : SendFault{};
-    if (Verdict.Act != SendFault::Action::Fail)
-      break;
-    if (Attempt >= MaxAttempts) {
-      if (obs::Counter *Failed = SharedFabric.sendsFailedCounter())
-        Failed->add();
-      return ioError("send from rank " + std::to_string(Rank) +
-                     " to rank " + std::to_string(Destination) +
-                     " failed after " + std::to_string(MaxAttempts) +
-                     " attempts");
-    }
-    if (obs::Counter *Retries = SharedFabric.sendRetriesCounter())
-      Retries->add();
-    if (TimeSource)
-      TimeSource->sleepNanos(BackoffNanos);
-  }
-
-  if (obs::Counter *Messages = SharedFabric.messagesSentCounter())
-    Messages->add();
-  if (obs::Counter *Bytes = SharedFabric.bytesSentCounter())
-    Bytes->add(int64_t(Payload.size()));
-  if (Verdict.Act == SendFault::Action::Drop) {
-    // The network ate it; the sender has no way to know.
-    return Status::ok();
-  }
-  SharedFabric.addBytesTransferred(Payload.size());
-
-  Message Outgoing;
-  Outgoing.Source = Rank;
-  Outgoing.Tag = Tag;
-  Outgoing.Payload = std::move(Payload);
-  if (Verdict.Act == SendFault::Action::Delay &&
-      SharedFabric.faultClock()) {
-    SharedFabric.delayMessage(Destination,
-                              SharedFabric.faultClock()->nowNanos() +
-                                  Verdict.DelayNanos,
-                              std::move(Outgoing));
-    return Status::ok();
-  }
-  if (Verdict.Act == SendFault::Action::Duplicate)
-    SharedFabric.mailboxOf(Destination).push(Outgoing);
+void FabricCommunicator::deliver(int Destination, Message Outgoing) {
   const size_t Depth =
       SharedFabric.mailboxOf(Destination).push(std::move(Outgoing));
   // Queue-delay signal: depth of the collector's mailbox right after a
   // subtotal lands there. The §2.2 claim is that this stays near zero.
-  if (Destination == 0)
-    if (obs::Gauge *DepthGauge = SharedFabric.collectorQueueDepthGauge())
-      DepthGauge->set(double(Depth));
-  return Status::ok();
-}
-
-std::optional<Message> FabricCommunicator::tryReceive(int Tag) {
-  SharedFabric.pumpDelayedMessages();
-  return SharedFabric.mailboxOf(Rank).tryPop(Tag);
-}
-
-std::optional<Message> FabricCommunicator::receiveWait(
-    int Tag, int64_t TimeoutNanos, const Clock *TimeSource) {
-  SharedFabric.pumpDelayedMessages();
-  return SharedFabric.mailboxOf(Rank).popWait(Tag, TimeoutNanos,
-                                              TimeSource);
-}
-
-bool FabricCommunicator::probe(int Tag) {
-  SharedFabric.pumpDelayedMessages();
-  return SharedFabric.mailboxOf(Rank).contains(Tag);
-}
-
-void runThreadEngine(int RankCount,
-                     const std::function<void(Communicator &)> &Body,
-                     obs::MetricsRegistry *Metrics,
-                     const std::function<void(Fabric &)> &Setup) {
-  assert(RankCount >= 1 && "need at least one rank");
-  Fabric SharedFabric(RankCount);
-  if (Metrics)
-    SharedFabric.attachMetrics(*Metrics);
-  if (Setup)
-    Setup(SharedFabric);
-  std::vector<std::thread> Threads;
-  Threads.reserve(size_t(RankCount));
-  for (int Rank = 0; Rank < RankCount; ++Rank) {
-    Threads.emplace_back([&SharedFabric, &Body, Rank] {
-      FabricCommunicator Self(SharedFabric, Rank);
-      Body(Self);
-    });
-  }
-  for (std::thread &Thread : Threads)
-    Thread.join();
+  if (Destination == 0 && SharedFabric.CollectorQueueDepth)
+    SharedFabric.CollectorQueueDepth->set(double(Depth));
 }
 
 WorkerGroup::WorkerGroup(int Count, const std::function<void(int)> &Body) {

@@ -41,11 +41,8 @@ runEngine(TransportKind Kind, int RankCount,
 
   // Thread transport: the original fabric, one thread per rank. Keep the
   // fabric on this frame so its stop flags survive into the report.
-  Fabric SharedFabric(RankCount);
-  if (Options.Metrics)
-    SharedFabric.attachMetrics(*Options.Metrics);
-  if (Options.FaultHook)
-    SharedFabric.setSendFaultHook(Options.FaultHook, Options.FaultClock);
+  Fabric SharedFabric(RankCount, Options.Metrics, Options.FaultHook,
+                      Options.FaultClock);
   std::vector<std::thread> Threads;
   Threads.reserve(size_t(RankCount));
   for (int Rank = 0; Rank < RankCount; ++Rank) {
@@ -61,7 +58,6 @@ runEngine(TransportKind Kind, int RankCount,
   const uint8_t Bits = SharedFabric.stopReasonBits();
   Report.StopOnTimeLimit = (Bits & uint8_t(StopReason::TimeLimit)) != 0;
   Report.StopOnErrorTarget = (Bits & uint8_t(StopReason::ErrorTarget)) != 0;
-  Report.BytesTransferred = SharedFabric.bytesTransferred();
   return Report;
 }
 

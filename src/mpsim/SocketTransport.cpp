@@ -7,16 +7,17 @@
 // Star topology: every worker process holds one end of a socket pair whose
 // other end lives in the parent. A parent router thread polls the worker
 // sockets, delivers worker->rank0 data into rank 0's mailbox, forwards
-// worker->worker data, runs the barrier, and fans out stop/abort
-// broadcasts. Rank 0 itself runs on the caller's thread in the parent, so
-// everything rank 0 computes (collector state, reports, result files) is
-// visible to the caller exactly as under the thread transport.
+// worker->worker data, and fans out stop/abort broadcasts. Rank 0 itself
+// runs on the caller's thread in the parent, so everything rank 0 computes
+// (collector state, reports, result files) is visible to the caller
+// exactly as under the thread transport. Both sides send through the
+// Communicator base's one fault-aware path; they only supply delivery.
 //
 // Failure semantics: a worker that exits without a GOODBYE frame is dead —
-// the router drops it from barrier accounting on EOF, and teardown decodes
-// its waitpid status into the engine report. Frames are CRC-checked; a
-// corrupt stream poisons that worker's decoder and is treated as a death,
-// never as a partial message.
+// the router counts it on EOF, and teardown decodes its waitpid status
+// into the engine report. Frames are CRC-checked; a corrupt stream poisons
+// that worker's decoder and is treated as a death, never as a partial
+// message.
 //
 //===----------------------------------------------------------------------===//
 
@@ -24,9 +25,8 @@
 
 #include "parmonc/mpsim/Serialize.h"
 #include "parmonc/mpsim/Wire.h"
-#include "parmonc/support/Contract.h"
 
-#include <algorithm>
+#include <array>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -60,12 +60,6 @@ Status sendAllBytes(int Fd, const uint8_t *Data, size_t Size) {
   return Status::ok();
 }
 
-/// A frame held back by a Delay fault verdict.
-struct DelayedFrame {
-  int64_t ReleaseNanos = 0;
-  Frame Held;
-};
-
 /// Serializes the per-worker GOODBYE diagnostics payload.
 std::vector<uint8_t> encodeGoodbye(int64_t FailedSends, int64_t MessagesSent,
                                    int64_t BytesSent) {
@@ -80,23 +74,20 @@ std::vector<uint8_t> encodeGoodbye(int64_t FailedSends, int64_t MessagesSent,
 // Worker (child-process) side
 //===----------------------------------------------------------------------===//
 
-/// The rank handle inside a forked worker: one socket to the parent, a
-/// reader thread feeding the local mailbox, and the same fault-hook send
-/// semantics as the fabric — consulted per attempt, drop/duplicate/delay
-/// handled at this layer so deterministic injectors replay identically
-/// across transports.
+/// The rank handle inside a forked worker: one socket to the parent and a
+/// reader thread feeding the local mailbox. Sends go through the base's
+/// fault-aware path, so deterministic injectors replay identically across
+/// transports; its counters are reported in the GOODBYE frame.
 class ChildCommunicator final : public Communicator {
 public:
-  ChildCommunicator(int Rank, int Size, int Fd,
-                    const EngineOptions &Options)
-      : Rank(Rank), RankCount(Size), Fd(Fd), Hook(Options.FaultHook),
-        FaultClock(Options.FaultClock) {}
+  ChildCommunicator(int Rank, int Size, int Fd, const EngineOptions &Options)
+      : Communicator(Rank, Size, Inbox, Delayed,
+                     {&MessagesSent, &BytesSent, &SendRetries, &FailedSends},
+                     Options.FaultHook, Options.FaultClock),
+        Fd(Fd) {}
 
   void start() {
-    Frame Hello;
-    Hello.Kind = FrameKind::Hello;
-    Hello.A = Rank;
-    writeFrame(Hello);
+    writeFrame(Frame{FrameKind::Hello, rank(), 0, 0, {}});
     Reader = std::thread([this] { readerMain(); });
   }
 
@@ -104,110 +95,15 @@ public:
   /// right after, so the reader thread is never joined — the process
   /// teardown reaps it.
   void sendGoodbye() {
-    Frame Goodbye;
-    Goodbye.Kind = FrameKind::Goodbye;
-    Goodbye.A = Rank;
-    Goodbye.Payload = encodeGoodbye(
-        FailedSends.load(std::memory_order_relaxed),
-        MessagesSent.load(std::memory_order_relaxed),
-        BytesSent.load(std::memory_order_relaxed));
-    writeFrame(Goodbye);
-  }
-
-  int rank() const override { return Rank; }
-  int size() const override { return RankCount; }
-
-  Status sendReliable(int Destination, int Tag,
-                      std::vector<uint8_t> Payload, int MaxAttempts,
-                      int64_t BackoffNanos,
-                      const Clock *TimeSource) override {
-    PARMONC_ASSERT(Destination >= 0 && Destination < RankCount,
-                   "destination rank out of range");
-    pumpDelayedFrames();
-
-    SendFault Verdict;
-    for (int Attempt = 1;; ++Attempt) {
-      Verdict = Hook ? Hook(Rank, Destination, Tag) : SendFault{};
-      if (Verdict.Act != SendFault::Action::Fail)
-        break;
-      if (Attempt >= MaxAttempts) {
-        FailedSends.fetch_add(1, std::memory_order_relaxed);
-        return ioError("send from rank " + std::to_string(Rank) +
-                       " to rank " + std::to_string(Destination) +
-                       " failed after " + std::to_string(MaxAttempts) +
-                       " attempts");
-      }
-      if (TimeSource)
-        TimeSource->sleepNanos(BackoffNanos);
-    }
-
-    MessagesSent.fetch_add(1, std::memory_order_relaxed);
-    BytesSent.fetch_add(int64_t(Payload.size()),
-                        std::memory_order_relaxed);
-    if (Verdict.Act == SendFault::Action::Drop)
-      return Status::ok(); // the wire ate it; the sender cannot know
-
-    Frame Outgoing;
-    Outgoing.Kind = FrameKind::Data;
-    Outgoing.A = Rank;
-    Outgoing.B = Destination;
-    Outgoing.C = Tag;
-    Outgoing.Payload = std::move(Payload);
-    if (Verdict.Act == SendFault::Action::Delay && FaultClock) {
-      std::lock_guard<std::mutex> Lock(DelayedMutex);
-      Delayed.push_back(DelayedFrame{FaultClock->nowNanos() +
-                                         Verdict.DelayNanos,
-                                     std::move(Outgoing)});
-      return Status::ok();
-    }
-    if (Verdict.Act == SendFault::Action::Duplicate)
-      deliverFrame(Outgoing);
-    deliverFrame(Outgoing);
-    return Status::ok();
-  }
-
-  std::optional<Message> tryReceive(int Tag) override {
-    pumpDelayedFrames();
-    return Inbox.tryPop(Tag);
-  }
-
-  std::optional<Message> receiveWait(int Tag, int64_t TimeoutNanos,
-                                     const Clock *TimeSource) override {
-    pumpDelayedFrames();
-    return Inbox.popWait(Tag, TimeoutNanos, TimeSource);
-  }
-
-  bool probe(int Tag) override {
-    pumpDelayedFrames();
-    return Inbox.contains(Tag);
-  }
-
-  void barrier() override {
-    const uint64_t Target = ++BarrierArrivals;
-    Frame Arrive;
-    Arrive.Kind = FrameKind::BarrierArrive;
-    Arrive.A = Rank;
-    writeFrame(Arrive);
-    std::unique_lock<std::mutex> Lock(BarrierMutex);
-    BarrierCv.wait(Lock, [this, Target] {
-      return ReleasesSeen >= Target || ParentGone;
-    });
-  }
-
-  void markDead(int DeadRank) override {
-    Frame Death;
-    Death.Kind = FrameKind::Dead;
-    Death.A = DeadRank;
-    writeFrame(Death);
+    writeFrame(Frame{FrameKind::Goodbye, rank(), 0, 0,
+                     encodeGoodbye(FailedSends.value(), MessagesSent.value(),
+                                   BytesSent.value())});
   }
 
   void requestStop(StopReason Reason) override {
-    StopBits.fetch_or(uint8_t(Reason), std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
-    Frame Stop;
-    Stop.Kind = FrameKind::Stop;
-    Stop.A = int32_t(uint8_t(Reason));
-    writeFrame(Stop); // the router rebroadcasts to every other rank
+    // The router rebroadcasts to every other rank.
+    writeFrame(Frame{FrameKind::Stop, int32_t(uint8_t(Reason)), 0, 0, {}});
   }
 
   bool stopRequested() const override {
@@ -217,10 +113,7 @@ public:
   void requestAbort() override {
     AbortFlag.store(true, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
-    Frame Abort;
-    Abort.Kind = FrameKind::Abort;
-    Abort.A = Rank;
-    writeFrame(Abort);
+    writeFrame(Frame{FrameKind::Abort, rank(), 0, 0, {}});
   }
 
   bool abortRequested() const override {
@@ -235,33 +128,14 @@ public:
   }
 
 private:
-  void deliverFrame(const Frame &Outgoing) {
-    if (Outgoing.B == Rank) {
+  void deliver(int Destination, Message Outgoing) override {
+    if (Destination == rank()) {
       // Self-delivery never crosses the wire, mirroring the fabric.
-      Inbox.push(Message{Outgoing.A, Outgoing.C, Outgoing.Payload});
+      Inbox.push(std::move(Outgoing));
       return;
     }
-    writeFrame(Outgoing);
-  }
-
-  void pumpDelayedFrames() {
-    if (!FaultClock)
-      return;
-    std::vector<DelayedFrame> Due;
-    {
-      std::lock_guard<std::mutex> Lock(DelayedMutex);
-      if (Delayed.empty())
-        return;
-      const int64_t Now = FaultClock->nowNanos();
-      auto FirstDue = std::partition(
-          Delayed.begin(), Delayed.end(),
-          [Now](const DelayedFrame &Held) { return Held.ReleaseNanos > Now; });
-      Due.assign(std::make_move_iterator(FirstDue),
-                 std::make_move_iterator(Delayed.end()));
-      Delayed.erase(FirstDue, Delayed.end());
-    }
-    for (DelayedFrame &Release : Due)
-      deliverFrame(Release.Held);
+    writeFrame(Frame{FrameKind::Data, Outgoing.Source, Destination,
+                     Outgoing.Tag, std::move(Outgoing.Payload)});
   }
 
   void writeFrame(const Frame &Outgoing) {
@@ -299,11 +173,6 @@ private:
     AbortFlag.store(true, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
     Inbox.close();
-    {
-      std::lock_guard<std::mutex> Lock(BarrierMutex);
-      ParentGone = true;
-    }
-    BarrierCv.notify_all();
   }
 
   void dispatch(const Frame &Incoming) {
@@ -311,16 +180,7 @@ private:
     case FrameKind::Data:
       Inbox.push(Message{Incoming.A, Incoming.C, Incoming.Payload});
       break;
-    case FrameKind::BarrierRelease: {
-      {
-        std::lock_guard<std::mutex> Lock(BarrierMutex);
-        ++ReleasesSeen;
-      }
-      BarrierCv.notify_all();
-      break;
-    }
     case FrameKind::Stop:
-      StopBits.fetch_or(uint8_t(Incoming.A), std::memory_order_relaxed);
       StopFlag.store(true, std::memory_order_relaxed);
       break;
     case FrameKind::Abort:
@@ -328,36 +188,22 @@ private:
       StopFlag.store(true, std::memory_order_relaxed);
       break;
     default:
-      break; // Hello/Goodbye/Dead/BarrierArrive are root-bound frames
+      break; // Hello/Goodbye are root-bound frames
     }
   }
 
-  const int Rank;
-  const int RankCount;
   const int Fd;
-  const SendFaultHook Hook;
-  const Clock *FaultClock;
-
   Mailbox Inbox;
+  DelayQueue Delayed;
+  obs::Counter MessagesSent;
+  obs::Counter BytesSent;
+  obs::Counter SendRetries;
+  obs::Counter FailedSends;
   std::mutex WriteMutex;
   std::thread Reader;
 
   std::atomic<bool> StopFlag{false};
-  std::atomic<uint8_t> StopBits{0};
   std::atomic<bool> AbortFlag{false};
-
-  std::mutex BarrierMutex;
-  std::condition_variable BarrierCv;
-  uint64_t ReleasesSeen = 0;
-  uint64_t BarrierArrivals = 0; // only the rank thread calls barrier()
-  bool ParentGone = false;
-
-  std::mutex DelayedMutex;
-  std::vector<DelayedFrame> Delayed;
-
-  std::atomic<int64_t> FailedSends{0};
-  std::atomic<int64_t> MessagesSent{0};
-  std::atomic<int64_t> BytesSent{0};
 };
 
 //===----------------------------------------------------------------------===//
@@ -365,14 +211,12 @@ private:
 //===----------------------------------------------------------------------===//
 
 /// Everything the parent's rank-0 communicator and the router thread
-/// share. Barrier and liveness live under one mutex; per-worker socket
-/// writes are serialized by per-channel mutexes so the router can forward
-/// while rank 0 sends.
+/// share. Per-worker socket writes are serialized by per-channel mutexes so
+/// the router can forward while rank 0 sends.
 struct RouterState {
   explicit RouterState(int RankCount)
       : RankCount(RankCount), ChildFd(size_t(RankCount), -1),
-        FdOpen(size_t(RankCount), 0), Dead(size_t(RankCount), false),
-        GoodbyeSeen(size_t(RankCount), false),
+        FdOpen(size_t(RankCount), 0), GoodbyeSeen(size_t(RankCount), false),
         WriteMutexes(size_t(RankCount)) {
     for (auto &MutexPtr : WriteMutexes)
       MutexPtr = std::make_unique<std::mutex>();
@@ -388,17 +232,9 @@ struct RouterState {
   std::vector<uint8_t> FdOpen;
   Mailbox RootInbox;
 
-  std::mutex Mutex; // barrier + liveness
-  std::condition_variable BarrierCv;
-  int Arrived = 0;
-  uint64_t Generation = 0;
-  std::vector<bool> Dead;
-  int DeadCount = 0;
-
   std::atomic<bool> StopFlag{false};
   std::atomic<uint8_t> StopBits{0};
   std::atomic<bool> AbortFlag{false};
-  std::atomic<uint64_t> BytesTransferred{0};
 
   std::vector<bool> GoodbyeSeen; // router thread only
   std::vector<ProcessRankStatus> Diagnostics;
@@ -441,37 +277,6 @@ struct RouterState {
       StopBroadcasts->add();
   }
 
-  /// Opens the barrier: bump the generation for the root waiter and send
-  /// a release frame to every live worker. Caller holds Mutex.
-  void releaseBarrierLocked() {
-    Arrived = 0;
-    ++Generation;
-    BarrierCv.notify_all();
-    Frame Release;
-    Release.Kind = FrameKind::BarrierRelease;
-    const std::vector<uint8_t> Encoded = encodeFrame(Release);
-    for (int Rank = 1; Rank < RankCount; ++Rank)
-      if (!Dead[size_t(Rank)])
-        writeToRank(Rank, Encoded);
-  }
-
-  /// One rank reached the barrier. Caller holds Mutex.
-  void arriveLocked() {
-    if (++Arrived >= RankCount - DeadCount)
-      releaseBarrierLocked();
-  }
-
-  /// Caller holds Mutex.
-  void markDeadLocked(int Rank) {
-    if (Rank < 0 || Rank >= RankCount || Dead[size_t(Rank)])
-      return;
-    Dead[size_t(Rank)] = true;
-    ++DeadCount;
-    // The death may have been the barrier's missing arrival.
-    if (Arrived > 0 && Arrived >= RankCount - DeadCount)
-      releaseBarrierLocked();
-  }
-
   void noteStop(uint8_t ReasonBits) {
     StopBits.fetch_or(ReasonBits, std::memory_order_relaxed);
     StopFlag.store(true, std::memory_order_relaxed);
@@ -483,111 +288,15 @@ struct RouterState {
 class RootCommunicator final : public Communicator {
 public:
   RootCommunicator(RouterState &State, const EngineOptions &Options)
-      : State(State), Hook(Options.FaultHook),
-        FaultClock(Options.FaultClock) {
-    if (Options.Metrics) {
-      MessagesSent = &Options.Metrics->counter("comm.messages_sent");
-      BytesSent = &Options.Metrics->counter("comm.bytes_sent");
-      SendRetries = &Options.Metrics->counter("comm.send_retries");
-      SendsFailed = &Options.Metrics->counter("comm.sends_failed");
-    }
-  }
-
-  int rank() const override { return 0; }
-  int size() const override { return State.RankCount; }
-
-  Status sendReliable(int Destination, int Tag,
-                      std::vector<uint8_t> Payload, int MaxAttempts,
-                      int64_t BackoffNanos,
-                      const Clock *TimeSource) override {
-    PARMONC_ASSERT(Destination >= 0 && Destination < State.RankCount,
-                   "destination rank out of range");
-    pumpDelayedFrames();
-
-    SendFault Verdict;
-    for (int Attempt = 1;; ++Attempt) {
-      Verdict = Hook ? Hook(0, Destination, Tag) : SendFault{};
-      if (Verdict.Act != SendFault::Action::Fail)
-        break;
-      if (Attempt >= MaxAttempts) {
-        if (SendsFailed)
-          SendsFailed->add();
-        return ioError("send from rank 0 to rank " +
-                       std::to_string(Destination) + " failed after " +
-                       std::to_string(MaxAttempts) + " attempts");
-      }
-      if (SendRetries)
-        SendRetries->add();
-      if (TimeSource)
-        TimeSource->sleepNanos(BackoffNanos);
-    }
-
-    if (MessagesSent)
-      MessagesSent->add();
-    if (BytesSent)
-      BytesSent->add(int64_t(Payload.size()));
-    if (Verdict.Act == SendFault::Action::Drop)
-      return Status::ok();
-    State.BytesTransferred.fetch_add(Payload.size(),
-                                     std::memory_order_relaxed);
-
-    Frame Outgoing;
-    Outgoing.Kind = FrameKind::Data;
-    Outgoing.A = 0;
-    Outgoing.B = Destination;
-    Outgoing.C = Tag;
-    Outgoing.Payload = std::move(Payload);
-    if (Verdict.Act == SendFault::Action::Delay && FaultClock) {
-      std::lock_guard<std::mutex> Lock(DelayedMutex);
-      Delayed.push_back(DelayedFrame{FaultClock->nowNanos() +
-                                         Verdict.DelayNanos,
-                                     std::move(Outgoing)});
-      return Status::ok();
-    }
-    if (Verdict.Act == SendFault::Action::Duplicate)
-      deliverFrame(Outgoing);
-    deliverFrame(Outgoing);
-    return Status::ok();
-  }
-
-  std::optional<Message> tryReceive(int Tag) override {
-    pumpDelayedFrames();
-    return State.RootInbox.tryPop(Tag);
-  }
-
-  std::optional<Message> receiveWait(int Tag, int64_t TimeoutNanos,
-                                     const Clock *TimeSource) override {
-    pumpDelayedFrames();
-    return State.RootInbox.popWait(Tag, TimeoutNanos, TimeSource);
-  }
-
-  bool probe(int Tag) override {
-    pumpDelayedFrames();
-    return State.RootInbox.contains(Tag);
-  }
-
-  void barrier() override {
-    std::unique_lock<std::mutex> Lock(State.Mutex);
-    const uint64_t MyGeneration = State.Generation;
-    State.arriveLocked();
-    if (State.Generation != MyGeneration)
-      return; // this arrival completed the rendezvous
-    State.BarrierCv.wait(Lock, [this, MyGeneration] {
-      return State.Generation != MyGeneration;
-    });
-  }
-
-  void markDead(int DeadRank) override {
-    std::lock_guard<std::mutex> Lock(State.Mutex);
-    State.markDeadLocked(DeadRank);
-  }
+      : Communicator(0, State.RankCount, State.RootInbox, Delayed,
+                     SendCounters::of(Options.Metrics), Options.FaultHook,
+                     Options.FaultClock),
+        State(State) {}
 
   void requestStop(StopReason Reason) override {
     State.noteStop(uint8_t(Reason));
-    Frame Stop;
-    Stop.Kind = FrameKind::Stop;
-    Stop.A = int32_t(uint8_t(Reason));
-    State.broadcastFrame(Stop);
+    State.broadcastFrame(
+        Frame{FrameKind::Stop, int32_t(uint8_t(Reason)), 0, 0, {}});
   }
 
   bool stopRequested() const override {
@@ -597,9 +306,7 @@ public:
   void requestAbort() override {
     State.AbortFlag.store(true, std::memory_order_relaxed);
     State.StopFlag.store(true, std::memory_order_relaxed);
-    Frame Abort;
-    Abort.Kind = FrameKind::Abort;
-    State.broadcastFrame(Abort);
+    State.broadcastFrame(Frame{FrameKind::Abort, 0, 0, 0, {}});
   }
 
   bool abortRequested() const override {
@@ -607,46 +314,21 @@ public:
   }
 
 private:
-  void deliverFrame(const Frame &Outgoing) {
-    if (Outgoing.B == 0) {
-      const size_t Depth = State.RootInbox.push(
-          Message{Outgoing.A, Outgoing.C, Outgoing.Payload});
+  void deliver(int Destination, Message Outgoing) override {
+    if (Destination == 0) {
+      const size_t Depth = State.RootInbox.push(std::move(Outgoing));
       if (State.CollectorQueueDepth)
         State.CollectorQueueDepth->set(double(Depth));
       return;
     }
-    State.writeToRank(Outgoing.B, encodeFrame(Outgoing));
-  }
-
-  void pumpDelayedFrames() {
-    if (!FaultClock)
-      return;
-    std::vector<DelayedFrame> Due;
-    {
-      std::lock_guard<std::mutex> Lock(DelayedMutex);
-      if (Delayed.empty())
-        return;
-      const int64_t Now = FaultClock->nowNanos();
-      auto FirstDue = std::partition(
-          Delayed.begin(), Delayed.end(),
-          [Now](const DelayedFrame &Held) { return Held.ReleaseNanos > Now; });
-      Due.assign(std::make_move_iterator(FirstDue),
-                 std::make_move_iterator(Delayed.end()));
-      Delayed.erase(FirstDue, Delayed.end());
-    }
-    for (DelayedFrame &Release : Due)
-      deliverFrame(Release.Held);
+    State.writeToRank(Destination,
+                      encodeFrame(Frame{FrameKind::Data, Outgoing.Source,
+                                        Destination, Outgoing.Tag,
+                                        std::move(Outgoing.Payload)}));
   }
 
   RouterState &State;
-  const SendFaultHook Hook;
-  const Clock *FaultClock;
-  std::mutex DelayedMutex;
-  std::vector<DelayedFrame> Delayed;
-  obs::Counter *MessagesSent = nullptr;
-  obs::Counter *BytesSent = nullptr;
-  obs::Counter *SendRetries = nullptr;
-  obs::Counter *SendsFailed = nullptr;
+  DelayQueue Delayed;
 };
 
 /// The parent's router/supervisor loop: polls worker sockets until every
@@ -660,15 +342,10 @@ void routerMain(RouterState &State) {
 
   auto handleDeath = [&](int Rank) {
     StreamDone[size_t(Rank)] = true;
-    if (!State.GoodbyeSeen[size_t(Rank)]) {
-      // Died without the orderly-shutdown frame: a real crash. Keep the
-      // run alive — drop the rank from barriers so survivors rendezvous
-      // and the collector's straggler deadline can declare it dead.
-      if (State.UnexpectedExits)
-        State.UnexpectedExits->add();
-      std::lock_guard<std::mutex> Lock(State.Mutex);
-      State.markDeadLocked(Rank);
-    }
+    // Died without the orderly-shutdown frame: a real crash. The run goes
+    // on; the collector's straggler deadline declares the rank dead.
+    if (!State.GoodbyeSeen[size_t(Rank)] && State.UnexpectedExits)
+      State.UnexpectedExits->add();
     State.closeChannel(Rank);
   };
 
@@ -706,30 +383,15 @@ void routerMain(RouterState &State) {
       break; // delivered above
     case FrameKind::Hello:
       break; // liveness is implied by the open stream
-    case FrameKind::BarrierArrive: {
-      std::lock_guard<std::mutex> Lock(State.Mutex);
-      State.arriveLocked();
-      break;
-    }
-    case FrameKind::Dead: {
-      std::lock_guard<std::mutex> Lock(State.Mutex);
-      State.markDeadLocked(Incoming.A);
-      break;
-    }
-    case FrameKind::Stop: {
+    case FrameKind::Stop:
       State.noteStop(uint8_t(Incoming.A));
-      Frame Stop = Incoming;
-      State.broadcastFrame(Stop);
+      State.broadcastFrame(Incoming);
       break;
-    }
-    case FrameKind::Abort: {
+    case FrameKind::Abort:
       State.AbortFlag.store(true, std::memory_order_relaxed);
       State.StopFlag.store(true, std::memory_order_relaxed);
-      Frame Abort;
-      Abort.Kind = FrameKind::Abort;
-      State.broadcastFrame(Abort);
+      State.broadcastFrame(Frame{FrameKind::Abort, 0, 0, 0, {}});
       break;
-    }
     case FrameKind::Goodbye: {
       State.GoodbyeSeen[size_t(Source)] = true;
       if (State.Goodbyes)
@@ -745,8 +407,6 @@ void routerMain(RouterState &State) {
         Diag.BytesSent = Value.value();
       break;
     }
-    case FrameKind::BarrierRelease:
-      break; // root-originated only; a worker never sends this
     }
   };
 
@@ -798,8 +458,6 @@ void routerMain(RouterState &State) {
         State.FramesRouted->add(FramesRead);
       if (State.BytesRouted)
         State.BytesRouted->add(DataBytesRead);
-      State.BytesTransferred.fetch_add(uint64_t(DataBytesRead),
-                                       std::memory_order_relaxed);
       FramesRead = 0;
       DataBytesRead = 0;
       if (Corrupt)
@@ -938,8 +596,6 @@ runProcessEngine(int RankCount,
   const uint8_t Bits = State.StopBits.load(std::memory_order_relaxed);
   Report.StopOnTimeLimit = (Bits & uint8_t(StopReason::TimeLimit)) != 0;
   Report.StopOnErrorTarget = (Bits & uint8_t(StopReason::ErrorTarget)) != 0;
-  Report.BytesTransferred =
-      State.BytesTransferred.load(std::memory_order_relaxed);
   for (int Rank = 1; Rank < RankCount; ++Rank) {
     Report.Ranks.push_back(State.Diagnostics[size_t(Rank)]);
     Report.ChildFailedSends += State.Diagnostics[size_t(Rank)].FailedSends;

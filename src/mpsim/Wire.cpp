@@ -30,8 +30,10 @@ uint32_t readU32(const uint8_t *Data) {
 }
 
 bool knownFrameKind(uint8_t Kind) {
-  return Kind >= uint8_t(FrameKind::Hello) &&
-         Kind <= uint8_t(FrameKind::Goodbye);
+  return Kind == uint8_t(FrameKind::Hello) ||
+         Kind == uint8_t(FrameKind::Data) ||
+         (Kind >= uint8_t(FrameKind::Stop) &&
+          Kind <= uint8_t(FrameKind::Goodbye));
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "parmonc/mpsim/Communicator.h"
+#include "parmonc/mpsim/Engine.h"
 
 #include "parmonc/support/Clock.h"
 
@@ -45,15 +45,6 @@ TEST(Mailbox, TagFilteringSkipsOtherTags) {
   auto Remaining = Box.tryPop(-1);
   ASSERT_TRUE(Remaining);
   EXPECT_EQ(Remaining->Tag, 1);
-}
-
-TEST(Mailbox, ContainsDoesNotConsume) {
-  Mailbox Box;
-  Box.push({3, 9, bytesOf({1})});
-  EXPECT_TRUE(Box.contains(9));
-  EXPECT_TRUE(Box.contains(-1));
-  EXPECT_FALSE(Box.contains(8));
-  EXPECT_EQ(Box.pendingCount(), 1u);
 }
 
 TEST(Mailbox, PopWaitTimesOutOnEmptyBox) {
@@ -210,19 +201,23 @@ TEST(Mailbox, BlockedPopWaitWakesForABatch) {
 }
 
 TEST(Fabric, TracksBytesTransferred) {
-  Fabric Net(2);
+  obs::MetricsRegistry Registry;
+  Fabric Net(2, &Registry);
   FabricCommunicator Sender(Net, 1);
-  Sender.send(0, 1, std::vector<uint8_t>(100));
-  Sender.send(0, 1, std::vector<uint8_t>(20));
-  EXPECT_EQ(Net.bytesTransferred(), 120u);
+  EXPECT_TRUE(Sender.sendReliable(0, 1, std::vector<uint8_t>(100), 1, 0,
+                                  nullptr));
+  EXPECT_TRUE(Sender.sendReliable(0, 1, std::vector<uint8_t>(20), 1, 0,
+                                  nullptr));
+  EXPECT_EQ(Registry.counter("comm.bytes_sent").value(), 120);
+  EXPECT_EQ(Registry.counter("comm.messages_sent").value(), 2);
 }
 
 TEST(Communicator, SendDeliversToDestinationOnly) {
   Fabric Net(3);
   FabricCommunicator Rank0(Net, 0), Rank1(Net, 1), Rank2(Net, 2);
-  Rank0.send(2, 5, bytesOf({9}));
-  EXPECT_FALSE(Rank1.probe());
-  ASSERT_TRUE(Rank2.probe(5));
+  EXPECT_TRUE(Rank0.sendReliable(2, 5, bytesOf({9}), 1, 0, nullptr));
+  EXPECT_FALSE(Rank1.tryReceive());
+  EXPECT_FALSE(Rank2.tryReceive(4));
   auto Received = Rank2.tryReceive(5);
   ASSERT_TRUE(Received);
   EXPECT_EQ(Received->Source, 0);
@@ -236,11 +231,27 @@ TEST(Communicator, RankAndSize) {
   EXPECT_EQ(Comm.size(), 4);
 }
 
+TEST(CommunicatorDeathTest, OutOfRangeDestinationAbortsOnEveryTransport) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  for (const TransportKind Kind :
+       {TransportKind::Threads, TransportKind::Processes}) {
+    EXPECT_DEATH(
+        (void)runEngine(Kind, 2,
+                        [](Communicator &Comm) {
+                          if (Comm.rank() == 0)
+                            (void)Comm.sendReliable(2, 1, bytesOf({1}), 1, 0,
+                                                    nullptr);
+                        }),
+        "destination rank out of range")
+        << "under " << transportName(Kind);
+  }
+}
+
 TEST(ThreadEngine, RunsEveryRankExactlyOnce) {
   std::atomic<int> Mask{0};
-  runThreadEngine(8, [&Mask](Communicator &Comm) {
+  ASSERT_TRUE(runEngine(TransportKind::Threads, 8, [&Mask](Communicator &Comm) {
     Mask.fetch_or(1 << Comm.rank());
-  });
+  }));
   EXPECT_EQ(Mask.load(), 0xff);
 }
 
@@ -248,10 +259,11 @@ TEST(ThreadEngine, GatherToRankZero) {
   // The paper's pattern: every rank sends to 0; rank 0 sums.
   std::atomic<int64_t> Total{0};
   const int Ranks = 6;
-  runThreadEngine(Ranks, [&Total](Communicator &Comm) {
+  ASSERT_TRUE(runEngine(TransportKind::Threads, Ranks,
+                        [&Total](Communicator &Comm) {
     if (Comm.rank() != 0) {
       std::vector<uint8_t> Payload{uint8_t(Comm.rank())};
-      Comm.send(0, 1, std::move(Payload));
+      EXPECT_TRUE(Comm.sendReliable(0, 1, std::move(Payload), 1, 0, nullptr));
       return;
     }
     int Received = 0;
@@ -263,47 +275,16 @@ TEST(ThreadEngine, GatherToRankZero) {
       }
     }
     Total.store(Sum);
-  });
+  }));
   EXPECT_EQ(Total.load(), 1 + 2 + 3 + 4 + 5);
-}
-
-TEST(ThreadEngine, BarrierSynchronizesPhases) {
-  // After the barrier, every rank must observe every other rank's phase-1
-  // message — a barrier that releases early would break this.
-  const int Ranks = 5;
-  std::atomic<int> Failures{0};
-  runThreadEngine(Ranks, [&Failures](Communicator &Comm) {
-    for (int Destination = 0; Destination < Comm.size(); ++Destination)
-      if (Destination != Comm.rank())
-        Comm.send(Destination, 42, std::vector<uint8_t>{1});
-    Comm.barrier();
-    int Seen = 0;
-    while (Comm.tryReceive(42))
-      ++Seen;
-    if (Seen != Comm.size() - 1)
-      Failures.fetch_add(1);
-  });
-  EXPECT_EQ(Failures.load(), 0);
-}
-
-TEST(ThreadEngine, BarrierIsReusable) {
-  std::atomic<int> Counter{0};
-  runThreadEngine(4, [&Counter](Communicator &Comm) {
-    for (int Round = 0; Round < 10; ++Round) {
-      Counter.fetch_add(1);
-      Comm.barrier();
-    }
-  });
-  EXPECT_EQ(Counter.load(), 40);
 }
 
 TEST(ThreadEngine, SingleRankWorks) {
   int Calls = 0;
-  runThreadEngine(1, [&Calls](Communicator &Comm) {
+  ASSERT_TRUE(runEngine(TransportKind::Threads, 1, [&Calls](Communicator &Comm) {
     EXPECT_EQ(Comm.size(), 1);
-    Comm.barrier();
     ++Calls;
-  });
+  }));
   EXPECT_EQ(Calls, 1);
 }
 
@@ -312,10 +293,13 @@ TEST(ThreadEngine, ManyToOneStress) {
   const int Ranks = 8;
   const int PerSender = 200;
   std::atomic<int64_t> Received{0};
-  runThreadEngine(Ranks, [&Received](Communicator &Comm) {
+  ASSERT_TRUE(runEngine(TransportKind::Threads, Ranks,
+                        [&Received](Communicator &Comm) {
     if (Comm.rank() != 0) {
       for (int Index = 0; Index < PerSender; ++Index)
-        Comm.send(0, 3, std::vector<uint8_t>{uint8_t(Index & 0xff)});
+        EXPECT_TRUE(Comm.sendReliable(
+            0, 3, std::vector<uint8_t>{uint8_t(Index & 0xff)}, 1, 0,
+            nullptr));
       return;
     }
     int64_t Count = 0;
@@ -326,7 +310,7 @@ TEST(ThreadEngine, ManyToOneStress) {
         break; // timeout: fail below
     }
     Received.store(Count);
-  });
+  }));
   EXPECT_EQ(Received.load(), int64_t(Ranks - 1) * PerSender);
 }
 

@@ -6,10 +6,9 @@
 //
 // The shutdown seam both backends rely on: a Mailbox/Fabric must be
 // tear-down-able while peers still hold queued messages or sit blocked in
-// receives and barriers, and the rank threads must then be joinable in ANY
-// order. Before Mailbox::close() existed, a receiver parked in popWait
-// held its full timeout through teardown and a barrier waiter whose peers
-// had already exited hung forever — these tests pin the fixed contract.
+// receives, and the rank threads must then be joinable in ANY order.
+// Before Mailbox::close() existed, a receiver parked in popWait held its
+// full timeout through teardown — these tests pin the fixed contract.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,44 +74,40 @@ TEST(ShutdownOrder, QueuedMessagesStayDrainableAfterClose) {
   EXPECT_FALSE(Box.popWait(-1, Forever));
 }
 
-TEST(ShutdownOrder, FabricShutdownReleasesBarrierWaiters) {
-  Fabric Net(3);
-  std::vector<std::thread> Stuck;
-  for (int Rank = 0; Rank < 2; ++Rank)
-    Stuck.emplace_back([&Net] { Net.arriveAtBarrier(); });
-  // Rank 2 never arrives; shutdown() must stand in for it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  Net.shutdown();
-  for (std::thread &Thread : Stuck)
-    Thread.join();
-  EXPECT_TRUE(Net.stopRequested());
+/// Tears a fabric down underneath its ranks: every mailbox closes.
+void closeEveryMailbox(Fabric &Net) {
+  for (int Rank = 0; Rank < Net.rankCount(); ++Rank)
+    Net.mailboxOf(Rank).close();
 }
 
 TEST(ShutdownOrder, RanksJoinableInAdversarialOrders) {
-  // Three ranks wedged in the three different blocking states — receive,
-  // barrier, send-then-receive — torn down and joined in every
-  // permutation. Any deadlock fails the test by hanging it.
+  // Three ranks wedged in three different blocking states — receive,
+  // tag-filtered receive on a frozen clock, send-then-receive — torn down
+  // and joined in every permutation. Any deadlock fails the test by
+  // hanging it.
   const int Permutations[6][3] = {{0, 1, 2}, {0, 2, 1}, {1, 0, 2},
                                   {1, 2, 0}, {2, 0, 1}, {2, 1, 0}};
   for (const auto &Order : Permutations) {
     Fabric Net(3);
+    ManualClock Frozen(1'000'000);
     std::vector<std::thread> Ranks;
     Ranks.emplace_back([&Net] {
       FabricCommunicator Self(Net, 0);
       Self.receiveWait(-1, Forever, nullptr); // blocked receive
     });
-    Ranks.emplace_back([&Net] {
+    Ranks.emplace_back([&Net, &Frozen] {
       FabricCommunicator Self(Net, 1);
-      Self.barrier(); // blocked rendezvous (peers never all arrive)
+      Self.receiveWait(5, Forever, &Frozen); // nobody sends tag 5
     });
     Ranks.emplace_back([&Net] {
       FabricCommunicator Self(Net, 2);
       // Queued message held toward rank 0 while the backend goes down.
-      Self.send(0, 9, std::vector<uint8_t>(64));
+      EXPECT_TRUE(Self.sendReliable(0, 9, std::vector<uint8_t>(64), 1, 0,
+                                    nullptr));
       Self.receiveWait(-1, Forever, nullptr);
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    Net.shutdown();
+    closeEveryMailbox(Net);
     for (int Index : Order)
       Ranks[size_t(Index)].join();
   }
@@ -120,12 +115,11 @@ TEST(ShutdownOrder, RanksJoinableInAdversarialOrders) {
 
 TEST(ShutdownOrder, ShutdownIsIdempotentAndSafeWithNoWaiters) {
   Fabric Net(2);
-  Net.shutdown();
-  Net.shutdown();
+  closeEveryMailbox(Net);
+  closeEveryMailbox(Net);
   // A rank starting after shutdown must not block either.
   FabricCommunicator Late(Net, 1);
   EXPECT_FALSE(Late.receiveWait(-1, Forever, nullptr));
-  EXPECT_TRUE(Late.stopRequested());
 }
 
 } // namespace

@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 namespace parmonc {
@@ -44,8 +45,9 @@ private:
 };
 
 Frame makeRandomFrame(FuzzRandom &Random) {
+  constexpr uint8_t KindBytes[] = {1, 2, 6, 7, 8}; // every assigned kind
   Frame Made;
-  Made.Kind = FrameKind(1 + Random.below(8));
+  Made.Kind = FrameKind(KindBytes[Random.below(std::size(KindBytes))]);
   Made.A = int32_t(Random.next());
   Made.B = int32_t(Random.next());
   Made.C = int32_t(Random.next());
@@ -213,21 +215,25 @@ TEST(Wire, BadMagicPoisonsTheDecoderPermanently) {
 }
 
 TEST(Wire, UnknownFrameKindIsRejected) {
-  // Hand-build a frame whose CRC is honest but whose kind byte (99) names
-  // no protocol message: framing is fine, content is not — still fatal.
-  std::vector<uint8_t> Encoded = encodeFrame(Frame{});
-  Encoded[12] = 99; // the kind byte, first of the body
-  const uint32_t HonestCrc = crc32(std::string_view(
-      reinterpret_cast<const char *>(Encoded.data() + 12),
-      Encoded.size() - 12));
-  for (int Byte = 0; Byte < 4; ++Byte)
-    Encoded[size_t(8 + Byte)] = uint8_t(HonestCrc >> (8 * Byte));
-  FrameDecoder Decoder;
-  Decoder.feed(Encoded.data(), Encoded.size());
-  Result<std::optional<Frame>> Next = Decoder.next();
-  ASSERT_FALSE(Next);
-  EXPECT_NE(Next.status().message().find("unknown frame kind"),
-            std::string::npos);
+  // Hand-build frames whose CRC is honest but whose kind byte names no
+  // protocol message — 99, or one of the unassigned 3, 4 and 5: framing is
+  // fine, content is not — still fatal.
+  for (const uint8_t Kind : {uint8_t(99), uint8_t(3), uint8_t(4),
+                             uint8_t(5)}) {
+    std::vector<uint8_t> Encoded = encodeFrame(Frame{});
+    Encoded[12] = Kind; // the kind byte, first of the body
+    const uint32_t HonestCrc = crc32(std::string_view(
+        reinterpret_cast<const char *>(Encoded.data() + 12),
+        Encoded.size() - 12));
+    for (int Byte = 0; Byte < 4; ++Byte)
+      Encoded[size_t(8 + Byte)] = uint8_t(HonestCrc >> (8 * Byte));
+    FrameDecoder Decoder;
+    Decoder.feed(Encoded.data(), Encoded.size());
+    Result<std::optional<Frame>> Next = Decoder.next();
+    ASSERT_FALSE(Next) << "kind " << int(Kind);
+    EXPECT_NE(Next.status().message().find("unknown frame kind"),
+              std::string::npos);
+  }
 }
 
 TEST(Wire, DecoderReclaimsConsumedBuffer) {
